@@ -11,10 +11,6 @@
 //! low-tier mean JCT inflates by at most [`MAX_LOW_TIER_INFLATION`] — a
 //! pinned property, not a vibe.
 //!
-//! Also asserted before any timing: the priority-enabled replay is
-//! worker-count independent (`--jobs 1` and `--jobs 4` produce
-//! byte-identical reports on this exact workload).
-//!
 //! Results land in `BENCH_migrate.json` at the workspace root: per-tier
 //! mean JCTs for both legs, the asserted ratios, and the preemption /
 //! migration counters of the enabled leg.
@@ -64,13 +60,11 @@ fn replay(
     policy_name: &str,
     cfg: &SchedulerConfig,
     warm: &str,
-    workers: usize,
 ) -> ScheduleReport {
     let cache = ProbeCache::load_str_for(warm, cfg.probe_iters, topo);
     let policy = policy_by_name(policy_name).expect("pinned policy is registered");
     ClusterSim::with_probe_cache_on(topo, trace.clone(), policy, cfg.clone(), cache)
         .expect("cluster_priority trace admits")
-        .with_workers(workers)
         .run()
         .expect("cluster_priority trace drains")
 }
@@ -126,19 +120,10 @@ fn main() {
         cache.save_json()
     };
 
-    // Worker-count independence, asserted before any timing: preemption
-    // and migration decisions must not let the fan-out change a byte.
-    let tiered = replay(topo, &trace, &policy_name, &sc.config, &warm, 1);
-    let four = replay(topo, &trace, &policy_name, &sc.config, &warm, 4);
-    assert_eq!(
-        tiered.to_json_string(),
-        four.to_json_string(),
-        "priority replay must be byte-identical at --jobs 1 and --jobs 4"
-    );
-    println!("  -> --jobs 1 vs --jobs 4: byte-identical");
+    let tiered = replay(topo, &trace, &policy_name, &sc.config, &warm);
 
     let base_cfg = baseline_config(&sc);
-    let base = replay(topo, &flat, &policy_name, &base_cfg, &warm, 1);
+    let base = replay(topo, &flat, &policy_name, &base_cfg, &warm);
     assert!(base.migration.is_none(), "knob-free baseline must not report migration metrics");
     let mig = tiered.migration.as_ref().expect("priority leg reports migration metrics");
     assert!(mig.preemptions > 0, "the pinned study must actually preempt");
@@ -172,36 +157,14 @@ fn main() {
 
     let base_t = s
         .bench("cluster_priority_baseline", || {
-            black_box(replay(topo, &flat, &policy_name, &base_cfg, &warm, 1).n_jobs)
+            black_box(replay(topo, &flat, &policy_name, &base_cfg, &warm).n_jobs)
         })
         .clone();
     let tier_t = s
         .bench("cluster_priority_preempt", || {
-            black_box(replay(topo, &trace, &policy_name, &sc.config, &warm, 1).n_jobs)
+            black_box(replay(topo, &trace, &policy_name, &sc.config, &warm).n_jobs)
         })
         .clone();
-
-    // Intra-replay fan-out on the preempting leg, through the shared
-    // suppression convention (null + note) on a 1-core host.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let (preempt_jobs4_speedup, fanout_note) = if cores >= 2 {
-        let four_t = s
-            .bench("cluster_priority_preempt_jobs4", || {
-                black_box(replay(topo, &trace, &policy_name, &sc.config, &warm, 4).n_jobs)
-            })
-            .clone();
-        let ratio = tier_t.median_ns as f64 / four_t.median_ns as f64;
-        println!("  -> preempt replay --jobs 4: {ratio:.2}x vs --jobs 1");
-        (
-            testkit::bench::speedup_or_null(cores, ratio),
-            format!("preempt replay fanned to 4 workers on a {cores}-way host"),
-        )
-    } else {
-        (
-            testkit::bench::speedup_or_null(cores, 1.0),
-            testkit::bench::suppressed_speedup_note("preempt_jobs4_speedup"),
-        )
-    };
 
     let round2 = |x: f64| (x * 100.0).round() / 100.0;
     let fields: Vec<(&str, Value)> = vec![
@@ -222,16 +185,14 @@ fn main() {
         ("work_lost_gpu_secs", Value::Num(mig.work_lost_gpu_secs)),
         ("baseline_median_ns", Value::from_u64(base_t.median_ns as u64)),
         ("preempt_median_ns", Value::from_u64(tier_t.median_ns as u64)),
-        ("preempt_jobs4_speedup", preempt_jobs4_speedup),
-        ("fanout_note", Value::str(fanout_note)),
         (
             "note",
             Value::str(
                 "cluster_priority study (48 jobs, 2 chassis / 32 GPUs, ~20% high-tier) \
                  replayed with tiers flattened + priority knobs off (arrival-order, \
                  no-preemption baseline) vs real tiers + checkpoint preemption + \
-                 migration defrag on; >= 20% high-tier mean-JCT gain, <= 1.5x low-tier \
-                 inflation, and --jobs 1 == --jobs 4 bytes are asserted, not recorded",
+                 migration defrag on; >= 20% high-tier mean-JCT gain and <= 1.5x low-tier \
+                 inflation are asserted, not recorded",
             ),
         ),
     ];

@@ -10,14 +10,8 @@
 //! bench **asserts** it stays >= 5x — the replay-engine work is a pinned
 //! property, not a vibe.
 //!
-//! Also asserted here, before any timing is reported: the optimized
-//! engine is worker-count independent (`--jobs 1` and `--jobs 4` produce
-//! byte-identical reports on this exact workload).
-//!
 //! Results land in `BENCH_replay_scale.json` at the workspace root:
-//! trace events/sec for both engine legs, the asserted speedup, and the
-//! intra-replay sharding ratio at 4 workers (null, with a note, on
-//! single-core hosts where there is no parallelism to measure).
+//! trace events/sec for both engine legs and the asserted speedup.
 
 use desim::json::Value;
 use scheduler::{
@@ -54,13 +48,11 @@ fn replay(
     mix: &MixedTrace,
     cfg: &SchedulerConfig,
     warm: &str,
-    workers: usize,
 ) -> ScheduleReport {
     let cache = ProbeCache::load_str_for(warm, cfg.probe_iters, topo);
     let policy = policy_by_name("slo-aware-pack").expect("slo-aware-pack is registered");
     ClusterSim::with_probe_cache_mixed_on(topo, mix.clone(), policy, cfg.clone(), cache)
         .expect("pai-magnitude trace admits")
-        .with_workers(workers)
         .run()
         .expect("pai-magnitude trace drains")
 }
@@ -103,22 +95,15 @@ fn main() {
         cache.save_json()
     };
 
-    // Worker-count independence, asserted before any timing: the epoch-
-    // sharded serving engine must not let the fan-out change a byte.
-    let one = replay(topo, &mix, &sc.config, &warm, 1).to_json_string();
-    let four = replay(topo, &mix, &sc.config, &warm, 4).to_json_string();
-    assert_eq!(one, four, "sharded replay must be byte-identical at --jobs 1 and --jobs 4");
-    println!("  -> --jobs 1 vs --jobs 4: byte-identical");
-
     let base_cfg = baseline_config(&sc);
     let base = s
         .bench("pai_magnitude_baseline_semantics", || {
-            black_box(replay(topo, &mix, &base_cfg, &warm, 1).n_jobs)
+            black_box(replay(topo, &mix, &base_cfg, &warm).n_jobs)
         })
         .clone();
     let opt = s
         .bench("pai_magnitude_optimized", || {
-            black_box(replay(topo, &mix, &sc.config, &warm, 1).n_jobs)
+            black_box(replay(topo, &mix, &sc.config, &warm).n_jobs)
         })
         .clone();
 
@@ -136,28 +121,6 @@ fn main() {
         opt.median_ns
     );
 
-    // Intra-replay sharding: the same optimized replay with serving
-    // epochs fanned across 4 workers. On a single-core host there is no
-    // parallelism to measure, so the field is null and the note says why.
-    let (shard4, shard_note) = if cores >= 2 {
-        let four = s
-            .bench("pai_magnitude_optimized_jobs4", || {
-                black_box(replay(topo, &mix, &sc.config, &warm, 4).n_jobs)
-            })
-            .clone();
-        let ratio = opt.median_ns as f64 / four.median_ns as f64;
-        println!("  -> --jobs 4 epoch sharding: {ratio:.2}x vs --jobs 1");
-        (
-            testkit::bench::speedup_or_null(cores, ratio),
-            format!("epoch sharding at 4 workers on a {cores}-way host"),
-        )
-    } else {
-        (
-            testkit::bench::speedup_or_null(cores, 1.0),
-            testkit::bench::suppressed_speedup_note("sharding speedup"),
-        )
-    };
-
     let fields: Vec<(&str, Value)> = vec![
         ("suite", Value::str("replay-scale")),
         ("host_parallelism", Value::from_u64(cores as u64)),
@@ -172,15 +135,13 @@ fn main() {
         ("optimized_events_per_sec", Value::Num(opt_eps.round())),
         ("speedup", Value::Num((speedup * 100.0).round() / 100.0)),
         ("min_speedup_asserted", Value::Num(MIN_SPEEDUP)),
-        ("jobs4_speedup", shard4),
-        ("jobs4_note", Value::str(shard_note)),
         (
             "note",
             Value::str(
                 "pai-magnitude mixed workload (10k jobs + 60 services, 128 GPUs) replayed \
                  under PR-era semantics (audit every event, global repricing, unsharded \
-                 serving) vs the current engine; >= 5x events/sec and --jobs 1 == --jobs 4 \
-                 bytes are asserted, not just recorded",
+                 serving) vs the current engine; >= 5x events/sec is asserted, not just \
+                 recorded",
             ),
         ),
     ];

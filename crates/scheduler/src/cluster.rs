@@ -91,8 +91,8 @@ pub struct SchedulerConfig {
     pub incremental_reprice: bool,
     /// Absorb per-service serving micro events (arrivals, batch
     /// completions, launches) inside epochs between global events instead
-    /// of surfacing each as a global event, sharding services across the
-    /// replay's workers. Epoch dilation is frozen at epoch start, so this
+    /// of surfacing each as a global event. Each epoch advances its
+    /// services serially. Epoch dilation is frozen at epoch start, so this
     /// is a (deterministic) modeling change — off by default to keep
     /// existing replays byte-identical.
     pub shard_serving: bool,
@@ -160,7 +160,7 @@ impl fmt::Display for SchedulerError {
                 write!(f, "job {job}: tenant {tenant} exceeds the {MAX_TENANTS}-tenant test bed")
             }
             SchedulerError::BadDemand { job, gpus, pool } => {
-                write!(f, "job {job}: demand {gpus} outside 1..={pool} GPUs")
+                write!(f, "job {job}: gpus {gpus} outside 1..={pool}")
             }
             SchedulerError::QuotaUnsatisfiable { job, gpus, quota } => {
                 write!(f, "job {job}: demand {gpus} can never fit tenant quota {quota}")
@@ -188,6 +188,24 @@ impl From<McsError> for SchedulerError {
     fn from(e: McsError) -> Self {
         SchedulerError::Mcs(e)
     }
+}
+
+/// The GPU demand rule for a job on a `pool`-GPU rack: `gpus` in
+/// `1..=pool` ([`SchedulerError::BadDemand`]) and `min_gpus` in
+/// `1..=gpus` ([`SchedulerError::BadElasticRange`]). Admission and
+/// [`crate::Scenario::validate`] both apply it.
+pub(crate) fn check_demand(j: &JobSpec, pool: usize) -> Result<(), SchedulerError> {
+    if j.gpus == 0 || usize::from(j.gpus) > pool {
+        return Err(SchedulerError::BadDemand { job: j.id, gpus: j.gpus, pool });
+    }
+    if j.min_gpus == 0 || j.min_gpus > j.gpus {
+        return Err(SchedulerError::BadElasticRange {
+            job: j.id,
+            min_gpus: j.min_gpus,
+            gpus: j.gpus,
+        });
+    }
+    Ok(())
 }
 
 /// A job currently holding GPUs.
@@ -319,9 +337,6 @@ pub struct ClusterSim {
     ledger_tenant: Vec<usize>,
     /// Events replayed so far — drives the `audit_every` cadence.
     events_seen: u64,
-    /// Worker count for intra-replay serving shards (see
-    /// [`SchedulerConfig::shard_serving`]).
-    workers: usize,
     scratch: LoopScratch,
 }
 
@@ -370,25 +385,12 @@ impl ClusterSim {
             if j.tenant.0 >= MAX_TENANTS {
                 return Err(SchedulerError::TooManyTenants { job: j.id, tenant: j.tenant.0 });
             }
-            if j.gpus == 0 || usize::from(j.gpus) > topo.total_gpus() {
-                return Err(SchedulerError::BadDemand {
-                    job: j.id,
-                    gpus: j.gpus,
-                    pool: topo.total_gpus(),
-                });
-            }
+            check_demand(j, topo.total_gpus())?;
             if usize::from(j.gpus) > cfg.quota_gpus_per_tenant {
                 return Err(SchedulerError::QuotaUnsatisfiable {
                     job: j.id,
                     gpus: j.gpus,
                     quota: cfg.quota_gpus_per_tenant,
-                });
-            }
-            if j.min_gpus == 0 || j.min_gpus > j.gpus {
-                return Err(SchedulerError::BadElasticRange {
-                    job: j.id,
-                    min_gpus: j.min_gpus,
-                    gpus: j.gpus,
                 });
             }
             if j.iters == 0 {
@@ -455,16 +457,18 @@ impl ClusterSim {
             ledger_slots: 0,
             ledger_tenant: vec![0; MAX_TENANTS as usize],
             events_seen: 0,
-            workers: 1,
             scratch: LoopScratch::default(),
         })
     }
 
-    /// Set the worker count for intra-replay serving shards. Only takes
-    /// effect under [`SchedulerConfig::shard_serving`]; the replay is
-    /// byte-identical at any worker count.
-    pub fn with_workers(mut self, workers: usize) -> ClusterSim {
-        self.workers = workers.max(1);
+    /// Accept a worker count for the replay's serving epochs and ignore
+    /// it: a replay runs on the calling thread. Serving epochs under
+    /// [`SchedulerConfig::shard_serving`] absorb a few hundred requests
+    /// at most on the PAI-shaped replays, far below where starting
+    /// threads pays, so they always advance serially. Kept so callers
+    /// that size a replay's workers keep working; a replay is
+    /// byte-identical at any count.
+    pub fn with_workers(self, _workers: usize) -> ClusterSim {
         self
     }
 
@@ -640,8 +644,7 @@ impl ClusterSim {
                     [next_arrival_at, next_finish, next_fault_at].into_iter().flatten().min();
                 let mut tod = std::mem::take(&mut self.scratch.tod);
                 self.training_on_drawer_into(&running, &mut tod);
-                let b =
-                    self.serve.run_epoch(now, cap, self.cfg.interference, &tod, self.workers);
+                let b = self.serve.run_epoch(now, cap, self.cfg.interference, &tod);
                 self.scratch.tod = tod;
                 b
             } else {

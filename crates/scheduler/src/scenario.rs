@@ -31,7 +31,7 @@
 //! goldens; anything else wraps its reports in a [`ScenarioReport`]
 //! object.
 
-use crate::cluster::{ClusterSim, SchedulerConfig, SchedulerError};
+use crate::cluster::{check_demand, ClusterSim, SchedulerConfig, SchedulerError};
 use crate::fault::{seeded_fault_plan, seeded_rack_fault_plan, FaultPlan};
 use crate::metrics::ScheduleReport;
 use crate::policy::policy_by_name;
@@ -288,6 +288,10 @@ pub enum ScenarioError {
     /// A job's `priority` field is outside the supported tiers (1..=3).
     BadPriority { scenario: String, job: u64, priority: u8 },
     BadSlice { scenario: String, service: u64, slice: u8 },
+    /// A job breaks the admission demand rule: `source` is
+    /// [`SchedulerError::BadDemand`] (`gpus` outside the rack) or
+    /// [`SchedulerError::BadElasticRange`] (`min_gpus` outside `1..=gpus`).
+    BadJob { scenario: String, source: SchedulerError },
     BadConfig { scenario: String, msg: String },
     BadFault { scenario: String, msg: String },
     /// A fault strikes after every job has arrived and every service
@@ -333,6 +337,7 @@ impl fmt::Display for ScenarioError {
             ScenarioError::BadSlice { scenario, service, slice } => {
                 write!(f, "{scenario}: service {service} slice {slice}/7 not in {{1,2,4,7}}")
             }
+            ScenarioError::BadJob { scenario, source } => write!(f, "{scenario}: {source}"),
             ScenarioError::BadConfig { scenario, msg } => write!(f, "{scenario}: config: {msg}"),
             ScenarioError::BadFault { scenario, msg } => write!(f, "{scenario}: fault plan: {msg}"),
             ScenarioError::FaultBeyondHorizon { scenario, event, at, horizon } => write!(
@@ -493,7 +498,10 @@ impl Scenario {
         if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
             return Err(ScenarioError::DuplicateJobId { scenario: scenario(), id: w[0] });
         }
+        let pool = self.topology.rack().total_gpus();
         for j in &mixed.jobs {
+            check_demand(j, pool)
+                .map_err(|source| ScenarioError::BadJob { scenario: scenario(), source })?;
             if !(1..=3).contains(&j.priority) {
                 return Err(ScenarioError::BadPriority {
                     scenario: scenario(),
@@ -780,11 +788,9 @@ pub fn run_scenario(
                         ClusterSim::with_probe_cache_mixed_on(topo, mixed, policy, cfg.clone(), split)?
                     };
                     let sim = if plan.is_empty() { sim } else { sim.with_faults(plan)? };
-                    // Intra-replay serving shards reuse the sweep's worker
-                    // budget (byte-identical at any count, so over-asking
-                    // while policies also fan out is only a scheduling
-                    // matter, not a correctness one).
-                    sim.with_workers(jobs).run_report()
+                    // The replay runs on this job's thread, serving epochs
+                    // included, so only the policy fan-out claims workers.
+                    sim.run_report()
                 })
             })
             .collect();
@@ -805,9 +811,8 @@ pub fn run_scenario(
 /// the scenario's own policy list — the autotuner's evaluation path,
 /// where the candidate under test is a [`crate::policy::ParamPolicy`]
 /// that has no name the scenario file could carry. Runs serially
-/// (callers fan out across *candidates*, one parsweep job each, so the
-/// replay itself must not also claim workers) and returns the single
-/// [`ScheduleReport`].
+/// (callers fan out across *candidates*, one parsweep job each) and
+/// returns the single [`ScheduleReport`].
 pub fn run_scenario_with_policy(
     scenario: &Scenario,
     policy: Box<dyn crate::policy::PlacePolicy>,
@@ -825,7 +830,7 @@ pub fn run_scenario_with_policy(
         ClusterSim::with_probe_cache_mixed_on(topo, mixed, policy, cfg.clone(), split)?
     };
     let sim = if plan.is_empty() { sim } else { sim.with_faults(plan)? };
-    let (report, probes) = sim.with_workers(1).run_report()?;
+    let (report, probes) = sim.run_report()?;
     cache.absorb(probes);
     Ok(report)
 }
@@ -879,8 +884,9 @@ pub fn run_matrix(
 mod tests {
     use super::*;
     use crate::fault::paper_fault_plan;
-    use crate::trace::seeded_two_tenant;
+    use crate::trace::{seeded_two_tenant, TenantId};
     use desim::Dur;
+    use dlmodels::Benchmark;
 
     /// The spec equivalent of `repro cluster`'s pinned study.
     fn fifo_scenario() -> Scenario {
@@ -965,6 +971,60 @@ mod tests {
         let mut sc = fifo_scenario();
         sc.policies.clear();
         assert!(matches!(sc.validate(), Err(ScenarioError::NoPolicies { .. })));
+    }
+
+    /// One inline job of the given demand, replayed under fifo.
+    fn inline_job_scenario(gpus: u8, min_gpus: u8) -> Scenario {
+        let job = JobSpec {
+            id: 7,
+            tenant: TenantId(0),
+            benchmark: Benchmark::ResNet50,
+            gpus,
+            min_gpus,
+            priority: 1,
+            arrival: SimTime::ZERO,
+            iters: 100,
+        };
+        Scenario::new(
+            "inline_demand",
+            TraceSpec::Jobs { name: "one-job".into(), jobs: vec![job] },
+            vec!["fifo-first-fit".into()],
+        )
+    }
+
+    #[test]
+    fn validate_rejects_zero_gpu_demand() {
+        let sc = inline_job_scenario(0, 0);
+        let zero = SchedulerError::BadDemand { job: 7, gpus: 0, pool: 16 };
+        assert!(matches!(sc.validate(), Err(ScenarioError::BadJob { source, .. }) if source == zero));
+        // The replay entry point refuses it up front instead of warming
+        // probes for a zero-GPU placement.
+        let mut cache = ProbeCache::new(sc.config.probe_iters);
+        let err = run_scenario(&sc, 1, &mut cache).unwrap_err();
+        assert_eq!(err.to_string(), "inline_demand: job 7: gpus 0 outside 1..=16");
+        // So does a demand beyond the rack.
+        let over = SchedulerError::BadDemand { job: 7, gpus: 17, pool: 16 };
+        assert!(matches!(
+            inline_job_scenario(17, 1).validate(),
+            Err(ScenarioError::BadJob { source, .. }) if source == over
+        ));
+        assert!(inline_job_scenario(16, 8).validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_min_gpus_above_gpus() {
+        let sc = inline_job_scenario(2, 3);
+        let mut cache = ProbeCache::new(sc.config.probe_iters);
+        let err = run_scenario(&sc, 1, &mut cache).unwrap_err();
+        let above = SchedulerError::BadElasticRange { job: 7, min_gpus: 3, gpus: 2 };
+        assert!(matches!(&err, ScenarioError::BadJob { source, .. } if *source == above), "{err}");
+        assert_eq!(err.to_string(), "inline_demand: job 7: min_gpus 3 outside 1..=2");
+        let zero = SchedulerError::BadElasticRange { job: 7, min_gpus: 0, gpus: 2 };
+        assert!(matches!(
+            inline_job_scenario(2, 0).validate(),
+            Err(ScenarioError::BadJob { source, .. }) if source == zero
+        ));
+        assert!(inline_job_scenario(2, 2).validate().is_ok());
     }
 
     #[test]

@@ -45,9 +45,6 @@ pub const SERVE_QUEUE_CAP_BATCHES: usize = 8;
 pub const SERVE_BACKLOG_SCALE_UP: usize = 2;
 /// Hard cap on generated requests per service (seeded streams are finite).
 const MAX_REQUESTS: usize = 200_000;
-/// The sharded event loop fans services out across workers only when at
-/// least this many are live — below it, thread spawn costs dominate.
-const SHARD_MIN_SERVICES: usize = 8;
 
 /// The open-loop arrival process of a service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -530,8 +527,8 @@ impl SvcState {
     /// global events, so the frozen factors are constant over the epoch.
     ///
     /// The per-service evolution is a pure function of (service state,
-    /// frozen dilation, cap), so sharding services across workers cannot
-    /// change the outcome — the replay is byte-identical at any `--jobs`.
+    /// frozen dilation, cap), so the order services advance in cannot
+    /// change the outcome.
     fn advance_until(
         &mut self,
         now: SimTime,
@@ -1080,17 +1077,15 @@ impl ServeState {
     /// (start, end, reclaim, scale-up). This is the sharded event loop:
     /// instead of surfacing every arrival/completion/launch as a global
     /// event, each service absorbs its own micro-traffic locally with
-    /// dilation frozen at epoch start, and services fan out across
-    /// `workers` when enough of them are live. Per-service evolution is
-    /// independent of the sharding, so replays are byte-identical at any
-    /// worker count.
+    /// dilation frozen at epoch start. Services advance one after another
+    /// on the calling thread: measured epochs absorb a few hundred
+    /// requests at most, far below where starting threads pays.
     pub fn run_epoch(
         &mut self,
         now: SimTime,
         cap: Option<SimTime>,
         interference: f64,
         training_on_drawer: &[usize],
-        workers: usize,
     ) -> Option<SimTime> {
         if self.active.is_empty() {
             return None;
@@ -1113,68 +1108,15 @@ impl ServeState {
                 dil[i * nd + d] = 1.0 + interference * neighbors as f64;
             }
         }
-        let gpu = self.gpu.clone();
         let mut boundary: Option<SimTime> = None;
         let mut last = self.last_activity;
-        let fold = |b: Option<SimTime>, l: SimTime, bd: &mut Option<SimTime>| {
-            if let Some(t) = b {
-                *bd = Some(bd.map_or(t, |c| c.min(t)));
+        for &i in &self.active {
+            let (sb, sl) =
+                self.svcs[i].advance_until(now, cap, &dil[i * nd..(i + 1) * nd], &self.gpu);
+            if let Some(t) = sb {
+                boundary = Some(boundary.map_or(t, |c| c.min(t)));
             }
-            l
-        };
-        let live = self
-            .active
-            .iter()
-            .filter(|&&i| self.svcs[i].started && !self.svcs[i].ended)
-            .count();
-        if workers > 1 && live >= SHARD_MIN_SERVICES {
-            // Disjoint &mut views of the active services, chunked across
-            // the workers. Per-service evolution is independent, so the
-            // chunking cannot change a byte.
-            let mut ai = self.active.iter().peekable();
-            let mut refs: Vec<(usize, &mut SvcState)> = self
-                .svcs
-                .iter_mut()
-                .enumerate()
-                .filter(|t| {
-                    if ai.peek().is_some_and(|&&a| a == t.0) {
-                        ai.next();
-                        true
-                    } else {
-                        false
-                    }
-                })
-                .collect();
-            let chunk = refs.len().div_ceil(workers);
-            let dil = &dil;
-            let gpu = &gpu;
-            let jobs: Vec<parsweep::Job<'_, (Option<SimTime>, SimTime)>> = refs
-                .chunks_mut(chunk)
-                .enumerate()
-                .map(|(ci, part)| {
-                    parsweep::Job::new(format!("serve-shard-{ci}"), move || {
-                        let mut b: Option<SimTime> = None;
-                        let mut l = SimTime::ZERO;
-                        for (i, svc) in part.iter_mut() {
-                            let (sb, sl) =
-                                svc.advance_until(now, cap, &dil[*i * nd..(*i + 1) * nd], gpu);
-                            if let Some(t) = sb {
-                                b = Some(b.map_or(t, |c| c.min(t)));
-                            }
-                            l = l.max(sl);
-                        }
-                        (b, l)
-                    })
-                })
-                .collect();
-            for (b, l) in parsweep::run(workers, jobs) {
-                last = last.max(fold(b, l, &mut boundary));
-            }
-        } else {
-            for &i in &self.active {
-                let (sb, sl) = self.svcs[i].advance_until(now, cap, &dil[i * nd..(i + 1) * nd], &gpu);
-                last = last.max(fold(sb, sl, &mut boundary));
-            }
+            last = last.max(sl);
         }
         self.epoch_dil = dil;
         self.last_activity = last;

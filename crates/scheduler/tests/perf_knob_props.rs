@@ -95,10 +95,10 @@ property! {
         );
     }
 
-    /// The epoch-sharded serving engine is chunking-independent: each
+    /// The epoch-sharded serving engine is worker-count-independent: each
     /// service's micro-events are priced from per-service state and an
-    /// epoch-frozen dilation snapshot, so fanning services across 4
-    /// workers is byte-identical to a serial pass.
+    /// epoch-frozen dilation snapshot, so a replay with `shard_serving`
+    /// on is byte-identical at 1 and 4 `run_scenario` workers.
     #[cases(64)]
     fn sharded_serving_is_worker_count_independent(
         s in shape(),
@@ -106,7 +106,6 @@ property! {
     ) {
         let (seed, n_jobs, _, chassis, faulty) = s;
         let (n_services, big_audit) = extra;
-        // Always enough services to cross the shard fan-out threshold.
         let mut sc = build(seed, n_jobs, n_services, chassis, faulty);
         sc.config.shard_serving = true;
         if big_audit {

@@ -32,8 +32,8 @@ cargo test -q --offline --workspace
 echo "== benches compile (smoke run, 1 iteration; refreshes BENCH_*.json) =="
 # This pass regenerates every BENCH_*.json baseline, so a stale baseline
 # never outlives the engine change that invalidated it. replay_scale
-# rides along and *asserts* the >= 5x replay-engine speedup and the
-# --jobs 1 vs --jobs 4 byte identity even at smoke iteration counts.
+# rides along and *asserts* the >= 5x replay-engine speedup even at
+# smoke iteration counts.
 TESTKIT_BENCH_ITERS=1 TESTKIT_BENCH_WARMUP=0 cargo bench --offline -p bench
 
 # The per-feature smokes (repro cluster/faults/serve) and per-golden
@@ -89,6 +89,26 @@ if ! cmp -s target/tuned_ci.json crates/bench/golden/tuned_default.json; then
     diff target/tuned_ci.json crates/bench/golden/tuned_default.json >&2 || true
     exit 1
 fi
+
+# The benchmark package (its own workspace under perfbench/): its
+# self-check, then one short traced run per workload. A traced run
+# fails an attempt unless every replay matches its golden and stays
+# byte-identical at 1/1, 1/2 and 2/1 sweep/shard workers, so a
+# determinism break surfaces here as a nonzero "failed" count.
+echo "== perfbench: self-check + one traced run per workload =="
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+for workload in paper_figs pai_replay pai_contended; do
+    result=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seconds 1 --trace 1 | tail -n 1)
+    echo "$workload: $result"
+    case "$result" in
+        *'"failed":0,'*) ;;
+        *)
+            echo "ERROR: perfbench $workload reported failed attempts" >&2
+            exit 1
+            ;;
+    esac
+done
 
 echo "== byte-determinism guard: pinned scenario goldens still match =="
 # Guards all six frozen goldens, including the pai_magnitude summary

@@ -201,9 +201,7 @@ fn scenario_matrix_identical_across_worker_counts() {
 /// terms: `scenarios/pai_magnitude.json` (10k training jobs + 60
 /// services on the 128-GPU rack, epoch-sharded serving, amortized
 /// audits) replayed at `--jobs 1` and `--jobs 4` yields byte-identical
-/// canonical reports. This is the same identity `benches/replay_scale.rs`
-/// asserts in release mode; pinning it here keeps it in the plain test
-/// suite where every CI run sees it.
+/// canonical reports.
 #[test]
 fn pai_magnitude_replay_identical_across_worker_counts() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/pai_magnitude.json");
