@@ -5,18 +5,19 @@
 //! FIFO first-fit on mean job-completion time.
 
 use scheduler::{
-    all_policies, compare_policies, compare_policies_faulty, paper_fault_plan, trace,
-    ProbeCache, SchedulerConfig, ScheduleReport,
+    all_policies, compare_policies_faulty, paper_fault_plan, run_scenario, trace, ProbeCache,
+    RackTopology, Scenario, SchedulerConfig, ScheduleReport, TraceSpec, POLICY_NAMES,
 };
 use testkit::bench::{black_box, BenchOpts, Suite};
 
 fn replay_all(n_jobs: usize, seed: u64) -> Vec<ScheduleReport> {
-    compare_policies(
-        &trace::seeded_two_tenant(n_jobs, seed),
-        all_policies(),
-        &SchedulerConfig::default(),
-    )
-    .expect("trace drains under every policy")
+    let t = trace::seeded_two_tenant(n_jobs, seed);
+    let presets = POLICY_NAMES[..4].iter().map(|p| p.to_string()).collect();
+    let sc = Scenario::new("cluster", TraceSpec::Jobs { name: t.name, jobs: t.jobs }, presets);
+    let mut cache = ProbeCache::new(sc.config.probe_iters);
+    run_scenario(&sc, parsweep::default_jobs(), &mut cache)
+        .expect("trace drains under every policy")
+        .reports
 }
 
 fn main() {
@@ -57,6 +58,7 @@ fn main() {
         let cfg = SchedulerConfig::default();
         let mut cache = ProbeCache::new(cfg.probe_iters);
         let pairs = compare_policies_faulty(
+            RackTopology::SINGLE,
             &trace::seeded_two_tenant(20, 0xC10D),
             all_policies(),
             &paper_fault_plan(),

@@ -15,8 +15,8 @@ use desim::{Dur, Sim};
 use devices::GpuSpec;
 use dlmodels::Benchmark;
 use scheduler::{
-    all_policies, compare_policies_cached_on, cross_chassis_stretch, trace, ProbeCache,
-    RackTopology, ScheduleReport, SchedulerConfig, Shape,
+    cross_chassis_stretch, run_scenario, trace, ProbeCache, RackTopology, Scenario,
+    ScheduleReport, SchedulerConfig, Shape, Topology, TraceSpec, POLICY_NAMES,
 };
 use testkit::bench::{black_box, BenchOpts, Suite};
 use training::engine::model_for;
@@ -47,20 +47,19 @@ fn desim_event_chain() -> u64 {
 const SCALES: [(u8, usize, usize); 4] = [(1, 16, 12), (2, 24, 20), (4, 32, 40), (8, 40, 72)];
 
 fn replay_at(chassis: u8, n_jobs: usize, quota: usize, workers: usize) -> Vec<ScheduleReport> {
-    let topo = RackTopology::with_chassis(chassis);
-    let cfg = SchedulerConfig { quota_gpus_per_tenant: quota, ..SchedulerConfig::default() };
+    let t = trace::seeded_two_tenant(n_jobs, 0xC10D);
+    let presets = POLICY_NAMES[..4].iter().map(|p| p.to_string()).collect();
+    let sc = Scenario {
+        topology: Topology::with_chassis(chassis),
+        config: SchedulerConfig { quota_gpus_per_tenant: quota, ..SchedulerConfig::default() },
+        ..Scenario::new("cluster_scale", TraceSpec::Jobs { name: t.name, jobs: t.jobs }, presets)
+    };
     // A fresh cache each call: the bench measures probing + replay, not
     // cache hits.
-    let mut cache = ProbeCache::new_for(cfg.probe_iters, topo);
-    compare_policies_cached_on(
-        topo,
-        &trace::seeded_two_tenant(n_jobs, 0xC10D),
-        all_policies(),
-        &cfg,
-        workers,
-        &mut cache,
-    )
-    .expect("trace drains under every policy at every scale")
+    let mut cache = ProbeCache::new_for(sc.config.probe_iters, sc.topology.rack());
+    run_scenario(&sc, workers, &mut cache)
+        .expect("trace drains under every policy at every scale")
+        .reports
 }
 
 /// Probe-derived samples/sec for `bench` on `n` GPUs, using the same

@@ -11,9 +11,7 @@
 //! the checked-in perf + quality baseline the README serving table cites.
 
 use desim::json::Value;
-use scheduler::{
-    seeded_pai_mix, serving_policies, ProbeCache, ScheduleReport, SchedulerConfig,
-};
+use scheduler::{run_scenario, ProbeCache, Scenario, ScheduleReport, TraceSpec, POLICY_NAMES};
 use testkit::bench::{black_box, BenchOpts, Suite};
 
 const N_JOBS: usize = 16;
@@ -23,15 +21,10 @@ const SEED: u64 = 0xC10D;
 fn replay_portfolio(jobs: usize) -> Vec<ScheduleReport> {
     // A fresh cache each call: the bench measures probing + replay, not
     // cache hits.
-    let mut cache = ProbeCache::new(SchedulerConfig::default().probe_iters);
-    scheduler::compare_policies_mixed(
-        &seeded_pai_mix(N_JOBS, N_SERVICES, SEED),
-        serving_policies(),
-        &SchedulerConfig::default(),
-        jobs,
-        &mut cache,
-    )
-    .expect("mixed trace drains under every policy")
+    let mix = TraceSpec::PaiMix { n_jobs: N_JOBS, n_services: N_SERVICES, seed: SEED };
+    let sc = Scenario::new("serve", mix, POLICY_NAMES.iter().map(|p| p.to_string()).collect());
+    let mut cache = ProbeCache::new(sc.config.probe_iters);
+    run_scenario(&sc, jobs, &mut cache).expect("mixed trace drains under every policy").reports
 }
 
 fn by_policy<'a>(reports: &'a [ScheduleReport], name: &str) -> &'a ScheduleReport {

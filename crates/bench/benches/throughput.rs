@@ -18,7 +18,8 @@ use desim::json::Value;
 use desim::{Dur, Sim};
 use dlmodels::Benchmark;
 use scheduler::{
-    all_policies, compare_policies_cached, trace, ProbeCache, ScheduleReport, SchedulerConfig,
+    all_policies, run_scenario, trace, ProbeCache, Scenario, ScheduleReport, TraceSpec,
+    POLICY_NAMES,
 };
 use testkit::bench::{black_box, BenchOpts, Suite};
 
@@ -45,15 +46,11 @@ fn desim_event_chain() -> u64 {
 fn replay_portfolio(jobs: usize) -> Vec<ScheduleReport> {
     // A fresh cache each call: the bench measures probing + replay, not
     // cache hits.
-    let mut cache = ProbeCache::new(SchedulerConfig::default().probe_iters);
-    compare_policies_cached(
-        &trace::seeded_two_tenant(20, 0xC10D),
-        all_policies(),
-        &SchedulerConfig::default(),
-        jobs,
-        &mut cache,
-    )
-    .expect("trace drains under every policy")
+    let t = trace::seeded_two_tenant(20, 0xC10D);
+    let presets = POLICY_NAMES[..4].iter().map(|p| p.to_string()).collect();
+    let sc = Scenario::new("throughput", TraceSpec::Jobs { name: t.name, jobs: t.jobs }, presets);
+    let mut cache = ProbeCache::new(sc.config.probe_iters);
+    run_scenario(&sc, jobs, &mut cache).expect("trace drains under every policy").reports
 }
 
 fn grid_cells() -> Vec<(Benchmark, HostConfig)> {

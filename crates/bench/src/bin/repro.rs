@@ -5,6 +5,7 @@
 //! cargo run --release -p bench --bin repro -- fig11    # one experiment
 //! cargo run --release -p bench --bin repro -- --quick  # fast smoke pass
 //! cargo run --release -p bench --bin repro -- --jobs 4 # 4 sweep workers
+//! cargo run --release -p bench --bin repro -- scenario-matrix scenarios/cluster_policies.json
 //! ```
 //!
 //! Output pairs each measured quantity with the paper's published value
@@ -15,7 +16,7 @@
 //! `--jobs N` sets the parsweep worker count for every sweep (grids,
 //! recommendation, policy replays); the default is available parallelism.
 //! Thread count never changes a byte of output — only wall-clock (see
-//! DESIGN §9). The cluster experiment persists its probe cache to
+//! DESIGN §9). The `faults` and scenario commands persist their probe cache to
 //! `$PROBE_CACHE` (default `target/probe_cache.json`), so a second run
 //! prices every placement without re-running probe simulations.
 
@@ -26,9 +27,9 @@ use composable_core::HostConfig;
 use dlmodels::Benchmark;
 use fabric::link::comms_requirements;
 use scheduler::{
-    all_policies, comparison_table, compare_policies_cached, compare_policies_faulty,
-    compare_policies_mixed, paper_fault_plan, run_matrix, run_scenario, seeded_pai_mix,
-    serve_comparison_table, serving_policies, trace, ProbeCache, Scenario, SchedulerConfig,
+    all_policies, comparison_table, compare_policies_faulty, paper_fault_plan, run_matrix,
+    run_scenario, serve_comparison_table, trace, ProbeCache, RackTopology, Scenario,
+    SchedulerConfig,
 };
 use std::path::{Path, PathBuf};
 
@@ -59,6 +60,17 @@ fn main() {
         _ => {}
     }
 
+    const EXPERIMENTS: [&str; 14] = [
+        "table1", "table2", "table3", "table4", "fig5", "fig9", "fig10", "fig11", "fig12",
+        "fig13", "fig14", "fig15", "fig16", "faults",
+    ];
+    if let Some(bad) = wanted.iter().find(|w| !EXPERIMENTS.contains(w)) {
+        die(format!(
+            "unknown experiment \"{bad}\"; the cluster and serving policy tables are \
+             `repro scenario-matrix scenarios/cluster_policies.json` and \
+             `scenarios/serve_policies.json`"
+        ));
+    }
     let want = |name: &str| wanted.is_empty() || wanted.contains(&name);
 
     if want("table1") {
@@ -109,14 +121,8 @@ fn main() {
     if want("fig16") {
         fig16(scale);
     }
-    if want("cluster") {
-        cluster(quick);
-    }
     if want("faults") {
         faults(quick);
-    }
-    if want("serve") {
-        serve(quick);
     }
 }
 
@@ -407,58 +413,6 @@ fn fig16(scale: Scale) {
     }
 }
 
-fn cluster(quick: bool) {
-    heading("CLUSTER — multi-job trace replay on the shared Falcon test bed");
-    let n_jobs = if quick { 8 } else { 20 };
-    let trace = trace::seeded_two_tenant(n_jobs, 0xC10D);
-    println!(
-        "trace {}: {} jobs, {} tenants, 16 pooled V100s (2 drawers x 8 slots, advanced mode)\n",
-        trace.name,
-        trace.jobs.len(),
-        trace.n_tenants()
-    );
-    let cfg = SchedulerConfig::default();
-    let cache_path: PathBuf = std::env::var_os("PROBE_CACHE")
-        .map_or_else(|| PathBuf::from("target/probe_cache.json"), PathBuf::from);
-    let mut cache = ProbeCache::load_file(&cache_path, cfg.probe_iters);
-    let loaded = cache.len();
-    let reports =
-        compare_policies_cached(&trace, all_policies(), &cfg, parsweep::default_jobs(), &mut cache)
-            .expect("trace drains under every policy");
-    println!(
-        "probe cache {}: {} entries loaded, {} probe simulations run, {} entries saved",
-        cache_path.display(),
-        loaded,
-        cache.probes_run(),
-        cache.len()
-    );
-    match cache.save_file(&cache_path) {
-        Ok(()) => {}
-        Err(e) => eprintln!("[cluster] probe cache not saved ({e}); runs stay correct without it"),
-    }
-    println!("{}", comparison_table(&reports));
-    let fifo = reports
-        .iter()
-        .find(|r| r.policy == "fifo-first-fit")
-        .expect("baseline present");
-    let best = reports
-        .iter()
-        .min_by_key(|r| r.mean_jct)
-        .expect("nonempty comparison");
-    println!(
-        "\nbest mean JCT: {} at {:.1}s ({} vs fifo-first-fit); every placement was an",
-        best.policy,
-        best.mean_jct.as_secs_f64(),
-        pct(
-            (best.mean_jct.as_secs_f64() / fifo.mean_jct.as_secs_f64() - 1.0) * 100.0
-        )
-    );
-    println!(
-        "MCS-audited recomposition ({} audit entries under {}).",
-        fifo.audit_entries, fifo.policy
-    );
-}
-
 fn faults(quick: bool) {
     heading("FAULTS — failure injection and MCS-driven recovery, per policy");
     let n_jobs = if quick { 8 } else { 20 };
@@ -472,10 +426,10 @@ fn faults(quick: bool) {
         plan.events.len()
     );
     let cfg = SchedulerConfig::default();
-    let cache_path: PathBuf = std::env::var_os("PROBE_CACHE")
-        .map_or_else(|| PathBuf::from("target/probe_cache.json"), PathBuf::from);
+    let cache_path = probe_cache_path();
     let mut cache = ProbeCache::load_file(&cache_path, cfg.probe_iters);
     let pairs = compare_policies_faulty(
+        RackTopology::SINGLE,
         &trace,
         all_policies(),
         &plan,
@@ -537,65 +491,6 @@ fn faults(quick: bool) {
         assert!(r.jct_inflation >= 1.0, "{}: faults sped the trace up", faulty.policy);
     }
     println!("recovery metrics sane under every policy (evacuations > 0, recovery clock > 0).");
-}
-
-fn serve(quick: bool) {
-    heading("SERVE — latency-SLO inference co-scheduled with training");
-    let (n_jobs, n_services) = if quick { (8, 4) } else { (16, 8) };
-    let mix = seeded_pai_mix(n_jobs, n_services, 0xC10D);
-    println!(
-        "mix {}: {} training jobs + {} services (MIG-style 1/7..7/7 slices,",
-        mix.name,
-        mix.jobs.len(),
-        mix.services.len()
-    );
-    println!("Poisson/diurnal arrivals, per-service p99 SLOs) on the 16-GPU test bed\n");
-    let cfg = SchedulerConfig::default();
-    let cache_path: PathBuf = std::env::var_os("PROBE_CACHE")
-        .map_or_else(|| PathBuf::from("target/probe_cache.json"), PathBuf::from);
-    let mut cache = ProbeCache::load_file(&cache_path, cfg.probe_iters);
-    let reports = compare_policies_mixed(
-        &mix,
-        serving_policies(),
-        &cfg,
-        parsweep::default_jobs(),
-        &mut cache,
-    )
-    .expect("mixed trace drains under every policy");
-    match cache.save_file(&cache_path) {
-        Ok(()) => {}
-        Err(e) => eprintln!("[serve] probe cache not saved ({e}); runs stay correct without it"),
-    }
-    println!("{}", serve_comparison_table(&reports));
-    let get = |name: &str| {
-        reports
-            .iter()
-            .find(|r| r.policy == name)
-            .expect("policy present in comparison")
-    };
-    let fifo = get("fifo-first-fit");
-    let pack = get("slo-aware-pack");
-    let att = |r: &scheduler::ScheduleReport| r.serve.as_ref().expect("serving block").attainment;
-    println!(
-        "\nslo-aware-pack attainment {:.4} vs fifo-first-fit {:.4}; training mean JCT {:.1}s vs {:.1}s",
-        att(pack),
-        att(fifo),
-        pack.mean_jct.as_secs_f64(),
-        fifo.mean_jct.as_secs_f64()
-    );
-    // The smoke contract (scripts/ci.sh): request conservation under every
-    // policy; in the standard mix the SLO-aware packer must clear 95%
-    // attainment where the training-first baseline does not.
-    for r in &reports {
-        let s = r.serve.as_ref().expect("serving block present");
-        assert_eq!(s.generated, s.completed + s.dropped, "{}: leaked requests", r.policy);
-        assert!(s.generated > 0, "{}: services saw no traffic", r.policy);
-    }
-    if !quick {
-        assert!(att(pack) >= 0.95, "slo-aware-pack must clear 95% attainment");
-        assert!(att(fifo) < 0.95, "baseline should violate SLOs under contention");
-    }
-    println!("request conservation holds under every policy (generated = completed + dropped).");
 }
 
 fn probe_cache_path() -> PathBuf {

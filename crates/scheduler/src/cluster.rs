@@ -37,8 +37,8 @@ use crate::fault::{FaultKind, FaultPlan, CHECKPOINT_ITERS, RECOMPOSE_LATENCY};
 use crate::metrics::{JobOutcome, MigrationMetrics, RecoveryMetrics, ScheduleReport};
 use crate::policy::{FreeView, PlacePolicy, RunningView};
 use crate::probe::{degraded_key, ProbeCache};
-use crate::serve::{MixedTrace, ServeState, SLICES_PER_GPU};
-use crate::trace::{JobSpec, Trace};
+use crate::serve::{MixedTrace, ServeState, ServiceSpec, SLICES_PER_GPU};
+use crate::trace::{first_duplicate, JobSpec, Trace};
 use desim::{Dur, SimTime};
 use devices::gpu::GpuSpec;
 use falcon::{
@@ -49,8 +49,6 @@ use rack::{chassis_parts, cross_chassis_stretch, drawers_spanned, Rack, RackAddr
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-/// GPUs in the shared pool (2 drawers × 8 slots).
-pub const POOL_GPUS: usize = 16;
 /// The chassis has four host ports; two per tenant means two tenants.
 pub const MAX_TENANTS: u32 = 2;
 
@@ -190,11 +188,17 @@ impl From<McsError> for SchedulerError {
     }
 }
 
-/// The GPU demand rule for a job on a `pool`-GPU rack: `gpus` in
-/// `1..=pool` ([`SchedulerError::BadDemand`]) and `min_gpus` in
-/// `1..=gpus` ([`SchedulerError::BadElasticRange`]). Admission and
+/// The per-job admission rules for a `pool`-GPU rack under a per-tenant
+/// `quota`: the tenant exists ([`SchedulerError::TooManyTenants`]),
+/// `gpus` is in `1..=pool` ([`SchedulerError::BadDemand`]), `min_gpus` is
+/// in `1..=gpus` ([`SchedulerError::BadElasticRange`]), `gpus` fits the
+/// quota ([`SchedulerError::QuotaUnsatisfiable`]) and the job has work
+/// ([`SchedulerError::ZeroLength`]). Admission and
 /// [`crate::Scenario::validate`] both apply it.
-pub(crate) fn check_demand(j: &JobSpec, pool: usize) -> Result<(), SchedulerError> {
+pub(crate) fn check_demand(j: &JobSpec, pool: usize, quota: usize) -> Result<(), SchedulerError> {
+    if j.tenant.0 >= MAX_TENANTS {
+        return Err(SchedulerError::TooManyTenants { job: j.id, tenant: j.tenant.0 });
+    }
     if j.gpus == 0 || usize::from(j.gpus) > pool {
         return Err(SchedulerError::BadDemand { job: j.id, gpus: j.gpus, pool });
     }
@@ -204,6 +208,42 @@ pub(crate) fn check_demand(j: &JobSpec, pool: usize) -> Result<(), SchedulerErro
             min_gpus: j.min_gpus,
             gpus: j.gpus,
         });
+    }
+    if usize::from(j.gpus) > quota {
+        return Err(SchedulerError::QuotaUnsatisfiable { job: j.id, gpus: j.gpus, quota });
+    }
+    if j.iters == 0 {
+        return Err(SchedulerError::ZeroLength { job: j.id });
+    }
+    Ok(())
+}
+
+/// The per-service admission rules ([`SchedulerError::BadService`]):
+/// tenant, slice, rate, window, SLO, batch size and replica range.
+/// Admission and [`crate::Scenario::validate`] both apply it.
+pub(crate) fn check_service(s: &ServiceSpec) -> Result<(), SchedulerError> {
+    let bad = |msg: &str| Err(SchedulerError::BadService { id: s.id, msg: msg.to_string() });
+    if s.tenant.0 >= MAX_TENANTS {
+        return bad("tenant outside the two-tenant test bed");
+    }
+    if !matches!(s.slice, 1 | 2 | 4 | 7) {
+        return bad("slice must be 1, 2, 4, or 7 sevenths");
+    }
+    debug_assert_eq!(SLICES_PER_GPU, 7);
+    if !(s.rate_rps > 0.0 && s.rate_rps.is_finite()) {
+        return bad("rate must be positive and finite");
+    }
+    if s.duration == Dur::ZERO {
+        return bad("zero-length service window");
+    }
+    if s.slo == Dur::ZERO {
+        return bad("zero SLO");
+    }
+    if s.max_batch == 0 {
+        return bad("max_batch must be at least 1");
+    }
+    if s.min_replicas == 0 || s.min_replicas > s.max_replicas {
+        return bad("replica range must satisfy 1 <= min <= max");
     }
     Ok(())
 }
@@ -376,26 +416,11 @@ impl ClusterSim {
             "topology {topo} outside {}",
             rack::supported_envelope()
         );
-        let mut ids: Vec<u64> = trace.jobs.iter().map(|j| j.id).collect();
-        ids.sort_unstable();
-        if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
-            return Err(SchedulerError::DuplicateJobId { id: w[0] });
+        if let Some(id) = first_duplicate(trace.jobs.iter().map(|j| j.id)) {
+            return Err(SchedulerError::DuplicateJobId { id });
         }
         for j in &trace.jobs {
-            if j.tenant.0 >= MAX_TENANTS {
-                return Err(SchedulerError::TooManyTenants { job: j.id, tenant: j.tenant.0 });
-            }
-            check_demand(j, topo.total_gpus())?;
-            if usize::from(j.gpus) > cfg.quota_gpus_per_tenant {
-                return Err(SchedulerError::QuotaUnsatisfiable {
-                    job: j.id,
-                    gpus: j.gpus,
-                    quota: cfg.quota_gpus_per_tenant,
-                });
-            }
-            if j.iters == 0 {
-                return Err(SchedulerError::ZeroLength { job: j.id });
-            }
+            check_demand(j, topo.total_gpus(), cfg.quota_gpus_per_tenant)?;
         }
 
         // The shared test bed: one advanced-mode chassis per rack
@@ -494,52 +519,18 @@ impl ClusterSim {
         if mixed.jobs.is_empty() && mixed.services.is_empty() {
             return Err(SchedulerError::EmptyTrace);
         }
-        let mut sids: Vec<u64> = mixed.services.iter().map(|s| s.id).collect();
-        sids.sort_unstable();
-        if let Some(w) = sids.windows(2).find(|w| w[0] == w[1]) {
+        if let Some(id) = first_duplicate(mixed.services.iter().map(|s| s.id)) {
             return Err(SchedulerError::BadService {
-                id: w[0],
+                id,
                 msg: "service id appears more than once".to_string(),
             });
         }
         for s in &mixed.services {
-            let bad = |msg: &str| SchedulerError::BadService { id: s.id, msg: msg.to_string() };
-            if s.tenant.0 >= MAX_TENANTS {
-                return Err(bad("tenant outside the two-tenant test bed"));
-            }
-            if !matches!(s.slice, 1 | 2 | 4 | 7) {
-                return Err(bad("slice must be 1, 2, 4, or 7 sevenths"));
-            }
-            debug_assert_eq!(SLICES_PER_GPU, 7);
-            if !(s.rate_rps > 0.0 && s.rate_rps.is_finite()) {
-                return Err(bad("rate must be positive and finite"));
-            }
-            if s.duration == Dur::ZERO {
-                return Err(bad("zero-length service window"));
-            }
-            if s.slo == Dur::ZERO {
-                return Err(bad("zero SLO"));
-            }
-            if s.max_batch == 0 {
-                return Err(bad("max_batch must be at least 1"));
-            }
-            if s.min_replicas == 0 || s.min_replicas > s.max_replicas {
-                return Err(bad("replica range must satisfy 1 <= min <= max"));
-            }
+            check_service(s)?;
         }
         let mut sim = Self::build(topo, mixed.training(), policy, cfg)?;
         sim.serve = ServeState::new_for(mixed.services, topo.n_drawers());
         Ok(sim)
-    }
-
-    /// [`ClusterSim::new_mixed`] with a pre-warmed probe cache.
-    pub fn with_probe_cache_mixed(
-        mixed: MixedTrace,
-        policy: Box<dyn PlacePolicy>,
-        cfg: SchedulerConfig,
-        probes: ProbeCache,
-    ) -> Result<ClusterSim, SchedulerError> {
-        Self::with_probe_cache_mixed_on(RackTopology::SINGLE, mixed, policy, cfg, probes)
     }
 
     /// [`ClusterSim::new_mixed_on`] with a pre-warmed probe cache.
@@ -564,19 +555,9 @@ impl ClusterSim {
         Ok(self)
     }
 
-    /// [`ClusterSim::new`] with a pre-warmed (or persisted) probe cache.
+    /// [`ClusterSim::new_on`] with a pre-warmed (or persisted) probe cache.
     /// Probes are deterministic, so seeding the cache can only skip
     /// simulations, never change the report.
-    pub fn with_probe_cache(
-        trace: Trace,
-        policy: Box<dyn PlacePolicy>,
-        cfg: SchedulerConfig,
-        probes: ProbeCache,
-    ) -> Result<ClusterSim, SchedulerError> {
-        Self::with_probe_cache_on(RackTopology::SINGLE, trace, policy, cfg, probes)
-    }
-
-    /// [`ClusterSim::new_on`] with a pre-warmed (or persisted) probe cache.
     pub fn with_probe_cache_on(
         topo: RackTopology,
         trace: Trace,
@@ -1759,140 +1740,62 @@ impl ClusterSim {
     }
 }
 
-/// Replay `trace` under each named policy (see [`crate::policy`]) on a
-/// fresh test bed and return the reports in policy order. Replays run on
-/// [`parsweep::default_jobs`] workers against a throwaway shared cache;
-/// use [`compare_policies_cached`] to control worker count and keep the
-/// cache.
-pub fn compare_policies(
-    trace: &Trace,
-    policies: Vec<Box<dyn PlacePolicy>>,
-    cfg: &SchedulerConfig,
-) -> Result<Vec<ScheduleReport>, SchedulerError> {
-    let mut cache = ProbeCache::new(cfg.probe_iters);
-    compare_policies_cached(trace, policies, cfg, parsweep::default_jobs(), &mut cache)
-}
-
-/// Replay `trace` under each policy on a fresh test bed, fanning the
-/// replays across `jobs` parsweep workers, and return the reports **in
-/// policy order** (never completion order).
+/// Replay `mixed` under each policy on a fresh test bed, with `plan`
+/// injected unless it is empty, fanning the replays across `jobs`
+/// parsweep workers, and return the reports **in policy order** (never
+/// completion order). The one policy fan-out behind
+/// [`crate::run_scenario`], [`crate::run_scenario_with_policy`] and
+/// [`compare_policies_faulty`].
 ///
-/// Each replay gets a [`ProbeCache::split`] of the shared `cache` —
-/// pre-warmed with [`crate::probe::warm_set_for_trace`], itself priced in
-/// parallel — and its additions are [`ProbeCache::absorb`]ed back in
-/// policy order afterwards. Probes are pure, so every replay prices a
-/// shape identically whether it hits the shared cache or re-simulates:
-/// reports are byte-identical to the serial path for any `jobs`.
-pub fn compare_policies_cached(
-    trace: &Trace,
-    policies: Vec<Box<dyn PlacePolicy>>,
-    cfg: &SchedulerConfig,
-    jobs: usize,
-    cache: &mut ProbeCache,
-) -> Result<Vec<ScheduleReport>, SchedulerError> {
-    compare_policies_cached_on(RackTopology::SINGLE, trace, policies, cfg, jobs, cache)
-}
-
-/// [`compare_policies_cached`] on an explicit rack topology: the same
-/// replay semantics and parallel-determinism guarantee, on `topo.chassis`
-/// chassis behind the rack tier.
-pub fn compare_policies_cached_on(
-    topo: RackTopology,
-    trace: &Trace,
-    policies: Vec<Box<dyn PlacePolicy>>,
-    cfg: &SchedulerConfig,
-    jobs: usize,
-    cache: &mut ProbeCache,
-) -> Result<Vec<ScheduleReport>, SchedulerError> {
-    cache.warm(&crate::probe::warm_set_for_trace(trace), jobs);
-    let replays: Vec<parsweep::Job<'_, Result<(ScheduleReport, ProbeCache), SchedulerError>>> =
-        policies
-            .into_iter()
-            .map(|p| {
-                let split = cache.split();
-                let label = format!("replay {} under {}", trace.name, p.name());
-                parsweep::Job::new(label, move || {
-                    ClusterSim::with_probe_cache_on(topo, trace.clone(), p, cfg.clone(), split)?
-                        .run_report()
-                })
-            })
-            .collect();
-    let mut reports = Vec::new();
-    for outcome in parsweep::run(jobs, replays) {
-        let (report, probes) = outcome?;
-        cache.absorb(probes);
-        reports.push(report);
-    }
-    Ok(reports)
-}
-
-/// Replay a mixed (training + serving) workload under each policy on a
-/// fresh test bed, fanning across `jobs` parsweep workers, and return the
-/// reports **in policy order**. The probe cache is warmed from the
-/// training side only — serving latencies are closed-form, not probed —
-/// so reports are byte-identical to the serial path for any `jobs`.
-pub fn compare_policies_mixed(
-    mixed: &MixedTrace,
-    policies: Vec<Box<dyn PlacePolicy>>,
-    cfg: &SchedulerConfig,
-    jobs: usize,
-    cache: &mut ProbeCache,
-) -> Result<Vec<ScheduleReport>, SchedulerError> {
-    compare_policies_mixed_on(RackTopology::SINGLE, mixed, policies, cfg, jobs, cache)
-}
-
-/// [`compare_policies_mixed`] on an explicit rack topology.
-pub fn compare_policies_mixed_on(
+/// The shared `cache` is warmed with the training side's
+/// [`crate::probe::warm_set_for_trace`] (itself priced in parallel; serving
+/// latencies are closed-form, not probed). Each replay gets a
+/// [`ProbeCache::split`] of it, and the splits' additions are
+/// [`ProbeCache::absorb`]ed back in policy order. Probes are pure, so
+/// every replay prices a shape identically whether it hits the shared
+/// cache or re-simulates: reports and cache are byte-identical for any
+/// `jobs`.
+pub(crate) fn replay_policies(
     topo: RackTopology,
     mixed: &MixedTrace,
-    policies: Vec<Box<dyn PlacePolicy>>,
-    cfg: &SchedulerConfig,
-    jobs: usize,
-    cache: &mut ProbeCache,
-) -> Result<Vec<ScheduleReport>, SchedulerError> {
-    let training = mixed.training();
-    cache.warm(&crate::probe::warm_set_for_trace(&training), jobs);
-    let replays: Vec<parsweep::Job<'_, Result<(ScheduleReport, ProbeCache), SchedulerError>>> =
-        policies
-            .into_iter()
-            .map(|p| {
-                let split = cache.split();
-                let label = format!("mixed replay {} under {}", mixed.name, p.name());
-                parsweep::Job::new(label, move || {
-                    ClusterSim::with_probe_cache_mixed_on(topo, mixed.clone(), p, cfg.clone(), split)?
-                        .run_report()
-                })
-            })
-            .collect();
-    let mut reports = Vec::new();
-    for outcome in parsweep::run(jobs, replays) {
-        let (report, probes) = outcome?;
-        cache.absorb(probes);
-        reports.push(report);
-    }
-    Ok(reports)
-}
-
-/// Replay `trace` under each policy twice — fault-free, then with `plan`
-/// injected — across `jobs` parsweep workers, returning `(baseline,
-/// faulty)` report pairs **in policy order**. Each faulty report's
-/// [`RecoveryMetrics::jct_inflation`] is filled from its own baseline.
-/// Both replays of a policy run in one worker (the faulty one reuses the
-/// baseline's probe cache), so results are byte-identical for any `jobs`.
-pub fn compare_policies_faulty(
-    trace: &Trace,
-    policies: Vec<Box<dyn PlacePolicy>>,
     plan: &FaultPlan,
+    policies: Vec<Box<dyn PlacePolicy>>,
     cfg: &SchedulerConfig,
     jobs: usize,
     cache: &mut ProbeCache,
-) -> Result<Vec<(ScheduleReport, ScheduleReport)>, SchedulerError> {
-    compare_policies_faulty_on(RackTopology::SINGLE, trace, policies, plan, cfg, jobs, cache)
+) -> Result<Vec<ScheduleReport>, SchedulerError> {
+    cache.warm(&crate::probe::warm_set_for_trace(&mixed.training()), jobs);
+    let replays: Vec<parsweep::Job<'_, Result<(ScheduleReport, ProbeCache), SchedulerError>>> =
+        policies
+            .into_iter()
+            .map(|p| {
+                let split = cache.split();
+                let label = format!("replay {} under {}", mixed.name, p.name());
+                parsweep::Job::new(label, move || {
+                    let sim =
+                        ClusterSim::with_probe_cache_mixed_on(topo, mixed.clone(), p, cfg.clone(), split)?;
+                    let sim = if plan.is_empty() { sim } else { sim.with_faults(plan.clone())? };
+                    sim.run_report()
+                })
+            })
+            .collect();
+    let mut reports = Vec::new();
+    for outcome in parsweep::run(jobs, replays) {
+        let (report, probes) = outcome?;
+        cache.absorb(probes);
+        reports.push(report);
+    }
+    Ok(reports)
 }
 
-/// [`compare_policies_faulty`] on an explicit rack topology. The plan is
-/// validated against `topo`, so inter-chassis events require a real rack.
-pub fn compare_policies_faulty_on(
+/// Replay `trace` on `topo` under each policy twice — fault-free, then
+/// with `plan` injected — and return `(baseline, faulty)` report pairs
+/// **in policy order**. Each faulty report's
+/// [`RecoveryMetrics::jct_inflation`] is filled from its own baseline.
+/// Both passes go through [`replay_policies`], so results are
+/// byte-identical for any `jobs`. The plan is validated against `topo`
+/// up front, so inter-chassis events require a real rack.
+pub fn compare_policies_faulty(
     topo: RackTopology,
     trace: &Trace,
     policies: Vec<Box<dyn PlacePolicy>>,
@@ -1902,48 +1805,27 @@ pub fn compare_policies_faulty_on(
     cache: &mut ProbeCache,
 ) -> Result<Vec<(ScheduleReport, ScheduleReport)>, SchedulerError> {
     plan.validate_for(&topo).map_err(|msg| SchedulerError::BadFault { msg })?;
-    cache.warm(&crate::probe::warm_set_for_trace(trace), jobs);
-    type Pair = (ScheduleReport, ScheduleReport, ProbeCache);
-    let replays: Vec<parsweep::Job<'_, Result<Pair, SchedulerError>>> = policies
-        .into_iter()
-        .map(|p| {
-            let split = cache.split();
-            let name = p.name();
-            let plan = plan.clone();
-            let label = format!("faulty replay {} under {name}", trace.name);
-            parsweep::Job::new(label, move || {
-                let (baseline, probes) =
-                    ClusterSim::with_probe_cache_on(topo, trace.clone(), p, cfg.clone(), split)?
-                        .run_report()?;
-                let faulty_policy =
-                    crate::policy::policy_by_name(name).expect("policy is registered");
-                let (mut faulty, probes) = ClusterSim::with_probe_cache_on(
-                    topo,
-                    trace.clone(),
-                    faulty_policy,
-                    cfg.clone(),
-                    probes,
-                )?
-                .with_faults(plan)?
-                .run_report()?;
-                if let Some(rec) = faulty.recovery.as_mut() {
-                    let base_jct = baseline.mean_jct.as_secs_f64();
-                    if base_jct > 0.0 {
-                        let inflation = faulty.mean_jct.as_secs_f64() / base_jct;
-                        rec.jct_inflation = (inflation * 1e4).round() / 1e4;
-                    }
-                }
-                Ok((baseline, faulty, probes))
-            })
-        })
+    let mixed = MixedTrace { name: trace.name.clone(), jobs: trace.jobs.clone(), services: Vec::new() };
+    let again: Vec<Box<dyn PlacePolicy>> = policies
+        .iter()
+        .map(|p| crate::policy::policy_by_name(p.name()).expect("policy is registered"))
         .collect();
-    let mut reports = Vec::new();
-    for outcome in parsweep::run(jobs, replays) {
-        let (baseline, faulty, probes) = outcome?;
-        cache.absorb(probes);
-        reports.push((baseline, faulty));
-    }
-    Ok(reports)
+    let baselines = replay_policies(topo, &mixed, &FaultPlan::none(), policies, cfg, jobs, cache)?;
+    let faulty = replay_policies(topo, &mixed, plan, again, cfg, jobs, cache)?;
+    Ok(baselines
+        .into_iter()
+        .zip(faulty)
+        .map(|(baseline, mut faulty)| {
+            if let Some(rec) = faulty.recovery.as_mut() {
+                let base_jct = baseline.mean_jct.as_secs_f64();
+                if base_jct > 0.0 {
+                    let inflation = faulty.mean_jct.as_secs_f64() / base_jct;
+                    rec.jct_inflation = (inflation * 1e4).round() / 1e4;
+                }
+            }
+            (baseline, faulty)
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -2078,14 +1960,29 @@ mod tests {
 
     #[test]
     fn all_policies_drain_the_same_trace() {
-        let reports =
-            compare_policies(&tiny_trace(), all_policies(), &SchedulerConfig::default()).unwrap();
+        let mix = MixedTrace { name: tiny_trace().name, jobs: tiny_trace().jobs, services: vec![] };
+        let (reports, _) = replay_fault_free(&mix, all_policies(), 2);
         assert_eq!(reports.len(), 4);
         let n = tiny_trace().jobs.len() as u32;
         for r in &reports {
             assert_eq!(r.n_jobs, n, "{} lost jobs", r.policy);
             assert!((0.0..=1.0).contains(&r.fairness));
         }
+    }
+
+    /// `mix` through [`replay_policies`] on one chassis without faults,
+    /// from a cold cache; returns the reports and the cache bytes.
+    fn replay_fault_free(
+        mix: &MixedTrace,
+        policies: Vec<Box<dyn PlacePolicy>>,
+        jobs: usize,
+    ) -> (Vec<ScheduleReport>, String) {
+        let cfg = SchedulerConfig::default();
+        let mut cache = ProbeCache::new(cfg.probe_iters);
+        let none = FaultPlan::none();
+        let reports =
+            replay_policies(RackTopology::SINGLE, mix, &none, policies, &cfg, jobs, &mut cache);
+        (reports.unwrap(), cache.save_json())
     }
 
     use crate::fault::{paper_fault_plan, FaultEvent, FaultKind, FaultPlan};
@@ -2407,20 +2304,14 @@ mod tests {
     }
 
     #[test]
-    fn compare_policies_mixed_is_parallel_deterministic() {
-        let mix = tiny_mix();
-        let cfg = SchedulerConfig::default();
-        let mut c1 = ProbeCache::new(cfg.probe_iters);
-        let serial =
-            compare_policies_mixed(&mix, serving_policies(), &cfg, 1, &mut c1).unwrap();
-        let mut c4 = ProbeCache::new(cfg.probe_iters);
-        let parallel =
-            compare_policies_mixed(&mix, serving_policies(), &cfg, 4, &mut c4).unwrap();
+    fn mixed_policy_replays_are_parallel_deterministic() {
+        let (serial, c1) = replay_fault_free(&tiny_mix(), serving_policies(), 1);
+        let (parallel, c4) = replay_fault_free(&tiny_mix(), serving_policies(), 4);
         assert_eq!(serial.len(), 5);
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.to_json_string(), p.to_json_string());
         }
-        assert_eq!(c1.save_json(), c4.save_json());
+        assert_eq!(c1, c4);
     }
 
     #[test]
@@ -2429,11 +2320,12 @@ mod tests {
         let cfg = SchedulerConfig::default();
         let plan = paper_fault_plan();
         let mut c1 = ProbeCache::new(cfg.probe_iters);
-        let serial = compare_policies_faulty(&trace, all_policies(), &plan, &cfg, 1, &mut c1)
-            .unwrap();
+        let topo = RackTopology::SINGLE;
+        let serial =
+            compare_policies_faulty(topo, &trace, all_policies(), &plan, &cfg, 1, &mut c1).unwrap();
         let mut c4 = ProbeCache::new(cfg.probe_iters);
-        let parallel = compare_policies_faulty(&trace, all_policies(), &plan, &cfg, 4, &mut c4)
-            .unwrap();
+        let parallel =
+            compare_policies_faulty(topo, &trace, all_policies(), &plan, &cfg, 4, &mut c4).unwrap();
         assert_eq!(serial.len(), 4);
         for ((sb, sf), (pb, pf)) in serial.iter().zip(&parallel) {
             assert_eq!(sb.to_json_string(), pb.to_json_string());

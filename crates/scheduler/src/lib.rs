@@ -43,11 +43,7 @@ pub mod scenario;
 pub mod serve;
 pub mod trace;
 
-pub use cluster::{
-    compare_policies, compare_policies_cached, compare_policies_cached_on,
-    compare_policies_faulty, compare_policies_faulty_on, compare_policies_mixed,
-    compare_policies_mixed_on, ClusterSim, SchedulerConfig, SchedulerError, POOL_GPUS,
-};
+pub use cluster::{compare_policies_faulty, ClusterSim, SchedulerConfig, SchedulerError};
 pub use fault::{
     paper_fault_plan, seeded_fault_plan, seeded_rack_fault_plan, FaultEvent, FaultKind, FaultPlan,
     CHECKPOINT_ITERS, RECOMPOSE_LATENCY,
@@ -60,7 +56,7 @@ pub use metrics::{
     RecoveryMetrics, ScheduleReport, ServeMetrics, ServiceOutcome,
 };
 pub use policy::{
-    all_policies, policy_by_name, policy_names, resolve_policy, serving_policies, FreeView,
+    all_policies, policy_by_name, resolve_policy, serving_policies, FreeView,
     ParamPolicy, ParamsError, PlacePolicy, PolicyParams, RunningView, SliceSlot, SliceView,
     SloAwarePack, UnknownPolicy, POLICY_NAMES,
 };

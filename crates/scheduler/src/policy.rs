@@ -108,7 +108,7 @@ pub struct RunningView {
 /// should not) be placed right now"; the cluster loop decides whether that
 /// blocks the queue.
 ///
-/// `Send` because [`crate::cluster::compare_policies`] ships each policy
+/// `Send` because [`crate::run_scenario`] ships each policy
 /// to a parsweep worker for its replay; policies are stateless slot
 /// selectors, so the bound costs implementors nothing.
 pub trait PlacePolicy: Send {
@@ -204,11 +204,6 @@ pub trait PlacePolicy: Send {
 /// registry and the scenario validator can never drift.
 pub const POLICY_NAMES: [&'static str; 5] =
     ["fifo-first-fit", "best-fit", "frag-aware", "topology-aware", "slo-aware-pack"];
-
-/// The canonical policy-name list (see [`POLICY_NAMES`]).
-pub fn policy_names() -> &'static [&'static str] {
-    &POLICY_NAMES
-}
 
 /// A policy name that resolves to nothing, carrying the canonical list of
 /// names that would have (and, for `.json` artifact paths, why the

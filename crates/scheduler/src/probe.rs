@@ -89,10 +89,6 @@ pub struct LinkHealth {
 impl LinkHealth {
     /// Both drawers at full bandwidth — the fault-free key.
     pub const FULL: LinkHealth = LinkHealth { h0: 100, h1: 100 };
-
-    pub fn is_full(&self) -> bool {
-        *self == LinkHealth::FULL
-    }
 }
 
 /// The canonical `(Shape, LinkHealth)` cache key for a placement on

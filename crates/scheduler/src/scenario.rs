@@ -21,23 +21,24 @@
 //!   `summary` strips them for sweep-sized output.
 //!
 //! [`Scenario::validate`] rejects malformed specs with typed
-//! [`ScenarioError`]s (duplicate ids, out-of-range slices, fault events
-//! beyond the trace horizon, unknown policies, unsupported topology).
-//! [`run_scenario`] dispatches into the existing [`ClusterSim`] entry
-//! points and [`run_matrix`] fans whole scenario files across parsweep
-//! workers — both byte-identical at any worker count. A one-policy,
+//! [`ScenarioError`]s (duplicate ids, out-of-range slices, jobs or
+//! services admission would refuse, fault events beyond the trace
+//! horizon, unknown policies, unsupported topology).
+//! [`run_scenario`] replays each policy through [`crate::ClusterSim`] and
+//! [`run_matrix`] fans whole scenario files across parsweep workers —
+//! both byte-identical at any worker count. A one-policy,
 //! full-metrics scenario's canonical output is the bare
 //! [`ScheduleReport`] JSON, byte-compatible with the pre-scenario
 //! goldens; anything else wraps its reports in a [`ScenarioReport`]
 //! object.
 
-use crate::cluster::{check_demand, ClusterSim, SchedulerConfig, SchedulerError};
+use crate::cluster::{check_demand, check_service, replay_policies, SchedulerConfig, SchedulerError};
 use crate::fault::{seeded_fault_plan, seeded_rack_fault_plan, FaultPlan};
 use crate::metrics::ScheduleReport;
 use crate::policy::policy_by_name;
-use crate::probe::{warm_set_for_trace, ProbeCache};
+use crate::probe::ProbeCache;
 use crate::serve::{seeded_pai_mix, MixedTrace, ServiceSpec};
-use crate::trace::{JobSpec, PoissonMix};
+use crate::trace::{first_duplicate, JobSpec, PoissonMix};
 use desim::json::{FromJson, JsonError, ToJson, Value};
 use desim::{Dur, SimTime};
 use rack::RackTopology;
@@ -288,10 +289,13 @@ pub enum ScenarioError {
     /// A job's `priority` field is outside the supported tiers (1..=3).
     BadPriority { scenario: String, job: u64, priority: u8 },
     BadSlice { scenario: String, service: u64, slice: u8 },
-    /// A job breaks the admission demand rule: `source` is
-    /// [`SchedulerError::BadDemand`] (`gpus` outside the rack) or
-    /// [`SchedulerError::BadElasticRange`] (`min_gpus` outside `1..=gpus`).
+    /// A job breaks an admission rule (`cluster::check_demand`): `source`
+    /// names the job and the rule — tenant, `gpus` outside the rack or the
+    /// tenant quota, `min_gpus` outside `1..=gpus`, or zero iterations.
     BadJob { scenario: String, source: SchedulerError },
+    /// A service breaks an admission rule (`cluster::check_service`):
+    /// `source` is [`SchedulerError::BadService`], naming the service.
+    BadService { scenario: String, source: SchedulerError },
     BadConfig { scenario: String, msg: String },
     BadFault { scenario: String, msg: String },
     /// A fault strikes after every job has arrived and every service
@@ -337,7 +341,8 @@ impl fmt::Display for ScenarioError {
             ScenarioError::BadSlice { scenario, service, slice } => {
                 write!(f, "{scenario}: service {service} slice {slice}/7 not in {{1,2,4,7}}")
             }
-            ScenarioError::BadJob { scenario, source } => write!(f, "{scenario}: {source}"),
+            ScenarioError::BadJob { scenario, source }
+            | ScenarioError::BadService { scenario, source } => write!(f, "{scenario}: {source}"),
             ScenarioError::BadConfig { scenario, msg } => write!(f, "{scenario}: config: {msg}"),
             ScenarioError::BadFault { scenario, msg } => write!(f, "{scenario}: fault plan: {msg}"),
             ScenarioError::FaultBeyondHorizon { scenario, event, at, horizon } => write!(
@@ -465,42 +470,30 @@ impl Scenario {
                 });
             }
         }
-        if self.config.probe_iters == 0 {
-            return Err(ScenarioError::BadConfig {
-                scenario: scenario(),
-                msg: "probe_iters must be at least 1".into(),
-            });
+        let cfg = &self.config;
+        let bad_config = |msg: String| Err(ScenarioError::BadConfig { scenario: scenario(), msg });
+        if cfg.probe_iters == 0 {
+            return bad_config("probe_iters must be at least 1".into());
         }
-        if self.config.quota_gpus_per_tenant == 0 {
-            return Err(ScenarioError::BadConfig {
-                scenario: scenario(),
-                msg: "quota_gpus_per_tenant must be at least 1".into(),
-            });
+        if cfg.quota_gpus_per_tenant == 0 {
+            return bad_config("quota_gpus_per_tenant must be at least 1".into());
         }
-        if !(self.config.interference >= 0.0 && self.config.interference.is_finite()) {
-            return Err(ScenarioError::BadConfig {
-                scenario: scenario(),
-                msg: format!("interference {} must be finite and >= 0", self.config.interference),
-            });
+        if !(cfg.interference >= 0.0 && cfg.interference.is_finite()) {
+            return bad_config(format!("interference {} must be finite and >= 0", cfg.interference));
         }
-        if self.config.audit_every == 0 {
-            return Err(ScenarioError::BadConfig {
-                scenario: scenario(),
-                msg: "audit_every must be at least 1".into(),
-            });
+        if cfg.audit_every == 0 {
+            return bad_config("audit_every must be at least 1".into());
         }
         let (mixed, plan) = self.materialize();
         if mixed.jobs.is_empty() && mixed.services.is_empty() {
             return Err(ScenarioError::EmptyTrace { scenario: scenario() });
         }
-        let mut ids: Vec<u64> = mixed.jobs.iter().map(|j| j.id).collect();
-        ids.sort_unstable();
-        if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
-            return Err(ScenarioError::DuplicateJobId { scenario: scenario(), id: w[0] });
+        if let Some(id) = first_duplicate(mixed.jobs.iter().map(|j| j.id)) {
+            return Err(ScenarioError::DuplicateJobId { scenario: scenario(), id });
         }
         let pool = self.topology.rack().total_gpus();
         for j in &mixed.jobs {
-            check_demand(j, pool)
+            check_demand(j, pool, cfg.quota_gpus_per_tenant)
                 .map_err(|source| ScenarioError::BadJob { scenario: scenario(), source })?;
             if !(1..=3).contains(&j.priority) {
                 return Err(ScenarioError::BadPriority {
@@ -510,10 +503,8 @@ impl Scenario {
                 });
             }
         }
-        let mut sids: Vec<u64> = mixed.services.iter().map(|s| s.id).collect();
-        sids.sort_unstable();
-        if let Some(w) = sids.windows(2).find(|w| w[0] == w[1]) {
-            return Err(ScenarioError::DuplicateServiceId { scenario: scenario(), id: w[0] });
+        if let Some(id) = first_duplicate(mixed.services.iter().map(|s| s.id)) {
+            return Err(ScenarioError::DuplicateServiceId { scenario: scenario(), id });
         }
         for s in &mixed.services {
             if !matches!(s.slice, 1 | 2 | 4 | 7) {
@@ -523,6 +514,8 @@ impl Scenario {
                     slice: s.slice,
                 });
             }
+            check_service(s)
+                .map_err(|source| ScenarioError::BadService { scenario: scenario(), source })?;
         }
         plan.validate_for(&self.topology.rack())
             .map_err(|msg| ScenarioError::BadFault { scenario: scenario(), msg })?;
@@ -752,58 +745,23 @@ impl ScenarioReport {
 }
 
 /// Replay `scenario` under each of its policies across `jobs` parsweep
-/// workers (probe cache warmed once, split per replay, absorbed back in
-/// policy order — the [`crate::cluster::compare_policies_cached`]
-/// pattern, so output is byte-identical at any worker count).
+/// workers through `cluster::replay_policies` (probe cache warmed once,
+/// split per replay, absorbed back in policy order), so output is
+/// byte-identical at any worker count.
 pub fn run_scenario(
     scenario: &Scenario,
     jobs: usize,
     cache: &mut ProbeCache,
 ) -> Result<ScenarioReport, ScenarioError> {
     scenario.validate()?;
-    let topo = scenario.topology.rack();
     let (mixed, plan) = scenario.materialize();
-    cache.warm(&warm_set_for_trace(&mixed.training()), jobs);
-    let cfg = &scenario.config;
-    let replays: Vec<parsweep::Job<'_, Result<(ScheduleReport, ProbeCache), SchedulerError>>> =
-        scenario
-            .policies
-            .iter()
-            .map(|name| {
-                let split = cache.split();
-                let policy = policy_by_name(name).expect("validated above");
-                let mixed = mixed.clone();
-                let plan = plan.clone();
-                let label = format!("scenario {} under {name}", scenario.name);
-                parsweep::Job::new(label, move || {
-                    let sim = if mixed.services.is_empty() {
-                        ClusterSim::with_probe_cache_on(
-                            topo,
-                            mixed.training(),
-                            policy,
-                            cfg.clone(),
-                            split,
-                        )?
-                    } else {
-                        ClusterSim::with_probe_cache_mixed_on(topo, mixed, policy, cfg.clone(), split)?
-                    };
-                    let sim = if plan.is_empty() { sim } else { sim.with_faults(plan)? };
-                    // The replay runs on this job's thread, serving epochs
-                    // included, so only the policy fan-out claims workers.
-                    sim.run_report()
-                })
-            })
-            .collect();
-    let mut reports = Vec::new();
-    for outcome in parsweep::run(jobs, replays) {
-        let (report, probes) = outcome?;
-        cache.absorb(probes);
-        reports.push(report);
-    }
+    let (topo, cfg) = (scenario.topology.rack(), &scenario.config);
+    let policies =
+        scenario.policies.iter().map(|name| policy_by_name(name).expect("validated above")).collect();
     Ok(ScenarioReport {
         scenario: scenario.name.clone(),
         metrics: scenario.metrics,
-        reports,
+        reports: replay_policies(topo, &mixed, &plan, policies, cfg, jobs, cache)?,
     })
 }
 
@@ -819,20 +777,10 @@ pub fn run_scenario_with_policy(
     cache: &mut ProbeCache,
 ) -> Result<ScheduleReport, ScenarioError> {
     scenario.validate()?;
-    let topo = scenario.topology.rack();
     let (mixed, plan) = scenario.materialize();
-    cache.warm(&warm_set_for_trace(&mixed.training()), 1);
-    let cfg = &scenario.config;
-    let split = cache.split();
-    let sim = if mixed.services.is_empty() {
-        ClusterSim::with_probe_cache_on(topo, mixed.training(), policy, cfg.clone(), split)?
-    } else {
-        ClusterSim::with_probe_cache_mixed_on(topo, mixed, policy, cfg.clone(), split)?
-    };
-    let sim = if plan.is_empty() { sim } else { sim.with_faults(plan)? };
-    let (report, probes) = sim.run_report()?;
-    cache.absorb(probes);
-    Ok(report)
+    let (topo, cfg) = (scenario.topology.rack(), &scenario.config);
+    let mut reports = replay_policies(topo, &mixed, &plan, vec![policy], cfg, 1, cache)?;
+    Ok(reports.pop().expect("one policy, one report"))
 }
 
 /// Run a whole scenario matrix: each scenario is one parsweep job (its
@@ -883,6 +831,7 @@ pub fn run_matrix(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::ClusterSim;
     use crate::fault::paper_fault_plan;
     use crate::trace::{seeded_two_tenant, TenantId};
     use desim::Dur;
@@ -1008,7 +957,10 @@ mod tests {
             inline_job_scenario(17, 1).validate(),
             Err(ScenarioError::BadJob { source, .. }) if source == over
         ));
-        assert!(inline_job_scenario(16, 8).validate().is_ok());
+        // A whole-rack demand is fine once the tenant quota admits it.
+        let mut whole_rack = inline_job_scenario(16, 8);
+        whole_rack.config.quota_gpus_per_tenant = 16;
+        assert!(whole_rack.validate().is_ok());
     }
 
     #[test]
@@ -1025,6 +977,96 @@ mod tests {
             Err(ScenarioError::BadJob { source, .. }) if source == zero
         ));
         assert!(inline_job_scenario(2, 2).validate().is_ok());
+    }
+
+    /// [`inline_job_scenario`] with its one job edited, for the
+    /// admission rules beyond the GPU demand.
+    fn edited_job_scenario(edit: impl FnOnce(&mut JobSpec)) -> Scenario {
+        let mut sc = inline_job_scenario(2, 2);
+        if let TraceSpec::Jobs { jobs, .. } = &mut sc.trace {
+            edit(&mut jobs[0]);
+        }
+        sc
+    }
+
+    fn assert_bad_job(sc: &Scenario, want: SchedulerError) {
+        let err = sc.validate().unwrap_err();
+        assert!(matches!(&err, ScenarioError::BadJob { source, .. } if *source == want), "{err}");
+        assert_eq!(err.to_string(), format!("inline_demand: {want}"));
+    }
+
+    #[test]
+    fn validate_rejects_out_of_range_tenant() {
+        let sc = edited_job_scenario(|j| j.tenant = TenantId(5));
+        assert_bad_job(&sc, SchedulerError::TooManyTenants { job: 7, tenant: 5 });
+    }
+
+    #[test]
+    fn validate_rejects_demand_above_tenant_quota() {
+        let sc = inline_job_scenario(14, 14);
+        assert_bad_job(&sc, SchedulerError::QuotaUnsatisfiable { job: 7, gpus: 14, quota: 12 });
+        let mut roomy = sc.clone();
+        roomy.config.quota_gpus_per_tenant = 14;
+        assert!(roomy.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_zero_iterations() {
+        let sc = edited_job_scenario(|j| j.iters = 0);
+        assert_bad_job(&sc, SchedulerError::ZeroLength { job: 7 });
+        // Refused before materializing a replay, not by admission.
+        let mut cache = ProbeCache::new(sc.config.probe_iters);
+        let err = run_scenario(&sc, 1, &mut cache).unwrap_err();
+        assert_eq!(err.to_string(), "inline_demand: job 7: zero iterations");
+        assert_eq!(cache.len(), 0, "no probes warmed for a rejected spec");
+    }
+
+    /// [`inline_job_scenario`] plus one valid explicit service must fail
+    /// `validate()` with `msg`, naming the service, once `edit` breaks it.
+    fn assert_bad_service(edit: impl FnOnce(&mut ServiceSpec), msg: &str) {
+        let mut sc = inline_job_scenario(2, 2);
+        sc.services = seeded_pai_mix(1, 1, 7).services;
+        assert!(sc.validate().is_ok(), "the unedited service is valid");
+        edit(&mut sc.services[0]);
+        let id = sc.services[0].id;
+        let err = sc.validate().unwrap_err();
+        assert!(matches!(&err, ScenarioError::BadService { .. }), "{err:?}");
+        assert_eq!(err.to_string(), format!("inline_demand: service {id}: {msg}"));
+    }
+
+    #[test]
+    fn validate_rejects_service_tenant_out_of_range() {
+        assert_bad_service(|s| s.tenant = TenantId(5), "tenant outside the two-tenant test bed");
+    }
+
+    #[test]
+    fn validate_rejects_non_positive_service_rate() {
+        for rate in [0.0, -1.0, f64::INFINITY] {
+            assert_bad_service(|s| s.rate_rps = rate, "rate must be positive and finite");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_zero_service_window() {
+        assert_bad_service(|s| s.duration = Dur::ZERO, "zero-length service window");
+    }
+
+    #[test]
+    fn validate_rejects_zero_slo() {
+        assert_bad_service(|s| s.slo = Dur::ZERO, "zero SLO");
+    }
+
+    #[test]
+    fn validate_rejects_zero_max_batch() {
+        assert_bad_service(|s| s.max_batch = 0, "max_batch must be at least 1");
+    }
+
+    #[test]
+    fn validate_rejects_bad_replica_range() {
+        for (min, max) in [(0, 2), (3, 2)] {
+            let edit = |s: &mut ServiceSpec| (s.min_replicas, s.max_replicas) = (min, max);
+            assert_bad_service(edit, "replica range must satisfy 1 <= min <= max");
+        }
     }
 
     #[test]

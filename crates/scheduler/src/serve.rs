@@ -22,7 +22,7 @@
 use crate::cluster::{tenant_user, ADMIN, MAX_TENANTS};
 use crate::metrics::{percentile_dur, round4, ServeMetrics, ServiceOutcome};
 use crate::policy::{SliceSlot, SliceView};
-use crate::trace::{benchmark_from_label, JobSpec, PoissonMix, TenantId, Trace};
+use crate::trace::{benchmark_from_label, first_duplicate, JobSpec, PoissonMix, TenantId, Trace};
 use desim::json::{FromJson, JsonError, ToJson, Value};
 use desim::{Dur, SimRng, SimTime};
 use devices::gpu::GpuSpec;
@@ -180,15 +180,11 @@ impl MixedTrace {
     /// both streams arrive sorted regardless of file order.
     pub fn from_json_str(s: &str) -> Result<MixedTrace, JsonError> {
         let t = MixedTrace::from_json(&Value::parse(s)?)?;
-        let mut ids: Vec<u64> = t.jobs.iter().map(|j| j.id).collect();
-        ids.sort_unstable();
-        if let Some(d) = ids.windows(2).find(|w| w[0] == w[1]) {
-            return Err(JsonError::decode(format!("duplicate job id {}", d[0])));
+        if let Some(id) = first_duplicate(t.jobs.iter().map(|j| j.id)) {
+            return Err(JsonError::decode(format!("duplicate job id {id}")));
         }
-        let mut sids: Vec<u64> = t.services.iter().map(|s| s.id).collect();
-        sids.sort_unstable();
-        if let Some(d) = sids.windows(2).find(|w| w[0] == w[1]) {
-            return Err(JsonError::decode(format!("duplicate service id {}", d[0])));
+        if let Some(id) = first_duplicate(t.services.iter().map(|s| s.id)) {
+            return Err(JsonError::decode(format!("duplicate service id {id}")));
         }
         Ok(t.sorted())
     }
@@ -668,19 +664,11 @@ pub struct ServeState {
 }
 
 impl ServeState {
-    /// The training-only state: no services, no events, no accrual — a
-    /// replay through it is byte-identical to the pre-serving loop.
-    pub fn empty() -> ServeState {
-        ServeState::new(Vec::new())
-    }
-
-    /// Training-only state sized to a rack with `n_drawers` drawers.
+    /// The training-only state sized to a rack with `n_drawers` drawers:
+    /// no services, no events, no accrual — a replay through it is
+    /// byte-identical to the pre-serving loop.
     pub fn empty_for(n_drawers: usize) -> ServeState {
         ServeState::new_for(Vec::new(), n_drawers)
-    }
-
-    pub fn new(specs: Vec<ServiceSpec>) -> ServeState {
-        ServeState::new_for(specs, 2)
     }
 
     pub fn new_for(specs: Vec<ServiceSpec>, n_drawers: usize) -> ServeState {
@@ -791,26 +779,10 @@ impl ServeState {
         self.slot_use.contains_key(&slot)
     }
 
-    /// Drawer occupancy of each service with ≥1 live replica — each such
-    /// service counts once as an interference neighbor to training jobs
-    /// sharing the drawer.
-    pub fn live_service_drawers(&self) -> Vec<Vec<bool>> {
-        self.svcs
-            .iter()
-            .map(|svc| {
-                let mut d = vec![false; self.n_drawers];
-                for r in &svc.replicas {
-                    d[r.slot.global_drawer()] = true;
-                }
-                d
-            })
-            .filter(|d| d.iter().any(|&x| x))
-            .collect()
-    }
-
-    /// Drawer bitmasks of live services (one bit per global drawer), the
-    /// allocation-free form of [`Self::live_service_drawers`] the hot
-    /// training-rate recompute uses.
+    /// Drawer bitmasks of live services (one bit per global drawer): each
+    /// service with ≥1 live replica counts once as an interference
+    /// neighbor to training jobs sharing a drawer. Allocation-free for the
+    /// hot training-rate recompute.
     pub fn live_service_drawer_masks_into(&self, out: &mut Vec<u64>) {
         debug_assert!(self.n_drawers <= 64, "drawer mask overflow");
         for svc in self.active.iter().map(|&i| &self.svcs[i]) {

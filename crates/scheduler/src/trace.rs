@@ -152,6 +152,13 @@ pub struct Trace {
     pub jobs: Vec<JobSpec>,
 }
 
+/// The smallest id that appears more than once, if any.
+pub(crate) fn first_duplicate(ids: impl Iterator<Item = u64>) -> Option<u64> {
+    let mut ids: Vec<u64> = ids.collect();
+    ids.sort_unstable();
+    ids.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
+}
+
 impl Trace {
     /// Jobs in arrival order (stable on ties by id) — the order the
     /// cluster event loop consumes them in.
@@ -176,10 +183,8 @@ impl Trace {
     /// and jobs arrive sorted regardless of file order.
     pub fn from_json_str(s: &str) -> Result<Trace, JsonError> {
         let trace = Trace::from_json(&Value::parse(s)?)?;
-        let mut ids: Vec<u64> = trace.jobs.iter().map(|j| j.id).collect();
-        ids.sort_unstable();
-        if let Some(dup) = ids.windows(2).find(|w| w[0] == w[1]) {
-            return Err(JsonError::decode(format!("duplicate job id {}", dup[0])));
+        if let Some(id) = first_duplicate(trace.jobs.iter().map(|j| j.id)) {
+            return Err(JsonError::decode(format!("duplicate job id {id}")));
         }
         Ok(trace.sorted())
     }

@@ -7,7 +7,8 @@
 //! * every malformed mutation of a valid scenario — duplicate job or
 //!   service ids, out-of-range MIG slices, fault events beyond the trace
 //!   horizon, unknown/duplicate/empty policy lists, unsupported
-//!   topologies — is rejected by `validate()` with the matching *typed*
+//!   topologies, jobs admission would refuse (zero iterations, unknown
+//!   tenant, demand above the quota) — is rejected by `validate()` with the matching *typed*
 //!   [`ScenarioError`], never a panic or a silently-accepted spec.
 //!
 //! Scenarios are assembled from plain-integer raw material (the
@@ -21,7 +22,7 @@ use scheduler::serve::{ArrivalKind, ServiceSpec};
 use scheduler::trace::{JobSpec, TenantId};
 use scheduler::{
     seeded_fault_plan, FaultEvent, FaultKind, FaultSpec, MetricLevel, Scenario, ScenarioError,
-    SchedulerConfig, Topology, TraceSpec,
+    SchedulerConfig, SchedulerError, Topology, TraceSpec,
 };
 use testkit::{
     bools, prop_assert, prop_assert_eq, property, tuple3, tuple5, u32_in, u64_in, u8_in, vec_of,
@@ -153,6 +154,10 @@ fn build_scenario(
     };
     sc.metrics = if summary { MetricLevel::Summary } else { MetricLevel::Full };
     let (mixed, _) = sc.materialize();
+    // Admission rejects a job no tenant quota can ever fit, so the quota
+    // is raised to the widest demand: valid by construction.
+    let widest = mixed.jobs.iter().map(|j| usize::from(j.gpus)).max().unwrap_or(1);
+    sc.config.quota_gpus_per_tenant = sc.config.quota_gpus_per_tenant.max(widest);
     let horizon = Scenario::horizon(&mixed);
     sc.faults = match fault_mode {
         0 => FaultSpec::None,
@@ -237,7 +242,7 @@ property! {
     /// beyond the horizon, policy-list abuse, unsupported topology.
     #[cases(64)]
     fn validate_rejects_each_malformation(
-        mutation in u8_in(0..8),
+        mutation in u8_in(0..11),
         seed in u64_in(0..1_000_000),
         cfg in raw_config(),
         jobs_raw in raw_jobs(),
@@ -315,6 +320,40 @@ property! {
                 prop_assert!(
                     matches!(sc.validate(), Err(ScenarioError::UnsupportedTopology(_))),
                     "out-of-envelope topology -> UnsupportedTopology, got {:?}", sc.validate()
+                );
+            }
+            8 => {
+                let TraceSpec::Jobs { jobs, .. } = &mut sc.trace else { unreachable!() };
+                jobs[0].iters = 0;
+                prop_assert!(
+                    matches!(sc.validate(), Err(ScenarioError::BadJob {
+                        source: SchedulerError::ZeroLength { job: 0 }, ..
+                    })),
+                    "zero iterations -> BadJob(ZeroLength), got {:?}", sc.validate()
+                );
+            }
+            9 => {
+                let tenant = 2 + (seed % 8) as u32;
+                let TraceSpec::Jobs { jobs, .. } = &mut sc.trace else { unreachable!() };
+                jobs[0].tenant = TenantId(tenant);
+                prop_assert!(
+                    matches!(sc.validate(), Err(ScenarioError::BadJob {
+                        source: SchedulerError::TooManyTenants { job: 0, tenant: t }, ..
+                    }) if t == tenant),
+                    "tenant outside the bed -> BadJob(TooManyTenants), got {:?}", sc.validate()
+                );
+            }
+            10 => {
+                // A whole-drawer gang under a half-drawer quota.
+                let TraceSpec::Jobs { jobs, .. } = &mut sc.trace else { unreachable!() };
+                jobs[0].gpus = 8;
+                jobs[0].min_gpus = 4;
+                sc.config.quota_gpus_per_tenant = 4;
+                prop_assert!(
+                    matches!(sc.validate(), Err(ScenarioError::BadJob {
+                        source: SchedulerError::QuotaUnsatisfiable { gpus: 8, quota: 4, .. }, ..
+                    })),
+                    "demand above quota -> BadJob(QuotaUnsatisfiable), got {:?}", sc.validate()
                 );
             }
             _ => {

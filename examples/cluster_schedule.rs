@@ -9,8 +9,8 @@
 //! ```
 
 use scheduler::{
-    all_policies, compare_policies, comparison_table, policy_by_name, trace, ClusterSim,
-    SchedulerConfig, Trace,
+    comparison_table, policy_by_name, run_scenario, trace, ClusterSim, ProbeCache, Scenario,
+    SchedulerConfig, Trace, TraceSpec, POLICY_NAMES,
 };
 
 fn main() {
@@ -73,6 +73,9 @@ fn main() {
 
     // All four policies on the same trace: the comparison the paper's
     // composability story motivates — topology-respecting placement wins.
-    let reports = compare_policies(&t, all_policies(), &SchedulerConfig::default()).unwrap();
+    let presets = POLICY_NAMES[..4].iter().map(|p| p.to_string()).collect();
+    let sc = Scenario::new("cluster_schedule", TraceSpec::Jobs { name: t.name, jobs: t.jobs }, presets);
+    let mut cache = ProbeCache::new(sc.config.probe_iters);
+    let reports = run_scenario(&sc, parsweep::default_jobs(), &mut cache).unwrap().reports;
     println!("\n{}", comparison_table(&reports));
 }

@@ -36,14 +36,21 @@ echo "== benches compile (smoke run, 1 iteration; refreshes BENCH_*.json) =="
 # smoke iteration counts.
 TESTKIT_BENCH_ITERS=1 TESTKIT_BENCH_WARMUP=0 cargo bench --offline -p bench
 
-# The per-feature smokes (repro cluster/faults/serve) and per-golden
-# guard invocations are subsumed by the scenario harness: one matrix
-# pass runs every checked-in scenario — training, faults, serving, and
-# the multi-chassis scale-out specs (cluster_scale32/64/128, up to 8
-# chassis / 128 GPUs) — and one test binary guards every pinned golden
-# (including cluster_scale32) through testkit::check_scenario_golden.
+# One matrix pass runs every checked-in scenario — training, faults,
+# serving (cluster_policies and serve_policies are the policy tables),
+# and the multi-chassis scale-out specs (cluster_scale32/64/128, up to
+# 8 chassis / 128 GPUs) — and one test binary guards every pinned
+# golden (including cluster_scale32) through
+# testkit::check_scenario_golden.
 echo "== scenario-matrix smoke (every scenarios/*.json, 2 parallel workers) =="
 cargo run --release --offline -p bench --bin repro -- scenario-matrix scenarios --jobs 2
+
+# The fault-free vs faulty comparison has no scenario form (it is the
+# only producer of JCT inflation), so it keeps its own subcommand. A
+# clean exit certifies its in-binary asserts: evacuations > 0, recovery
+# clock > 0 and inflation >= 1 under every policy.
+echo "== fault-recovery smoke (repro faults, 2 workers) =="
+cargo run --release --offline -p bench --bin repro -- faults --jobs 2
 
 # The preemption study exercised on its own: checkpoint preemption +
 # migration defrag must replay cleanly through the CLI path too, not

@@ -6,7 +6,17 @@ use composable_core::runner::{run, ExperimentOpts};
 use composable_core::HostConfig;
 use desim::SimRng;
 use dlmodels::Benchmark;
-use scheduler::{all_policies, compare_policies, trace, SchedulerConfig};
+use scheduler::{run_scenario, trace, ProbeCache, Scenario, TraceSpec, POLICY_NAMES};
+
+/// The seeded two-tenant trace's reports under the four training presets.
+fn cluster_reports(seed: u64) -> Vec<String> {
+    let t = trace::seeded_two_tenant(12, seed);
+    let presets = POLICY_NAMES[..4].iter().map(|p| p.to_string()).collect();
+    let sc = Scenario::new("determinism", TraceSpec::Jobs { name: t.name, jobs: t.jobs }, presets);
+    let mut cache = ProbeCache::new(sc.config.probe_iters);
+    let reports = run_scenario(&sc, parsweep::default_jobs(), &mut cache).unwrap().reports;
+    reports.iter().map(|r| r.to_json_string()).collect()
+}
 
 /// The same (benchmark, config, opts, seed) twice produces byte-identical
 /// RunReport JSON — every field, including the utilization traces.
@@ -43,24 +53,11 @@ fn different_seeds_differ() {
 /// and the metrics rollup are all pure functions of their inputs.
 #[test]
 fn cluster_replay_is_byte_identical_under_equal_seeds() {
-    let mk = || {
-        let t = trace::seeded_two_tenant(12, 0xBEEF);
-        compare_policies(&t, all_policies(), &SchedulerConfig::default())
-            .unwrap()
-            .into_iter()
-            .map(|r| r.to_json_string())
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(mk(), mk(), "cluster replay must be byte-identical");
+    let first = cluster_reports(0xBEEF);
+    assert_eq!(first, cluster_reports(0xBEEF), "cluster replay must be byte-identical");
 
     // And a different seed genuinely changes the schedule.
-    let other = compare_policies(
-        &trace::seeded_two_tenant(12, 0xBEE5),
-        all_policies(),
-        &SchedulerConfig::default(),
-    )
-    .unwrap();
-    assert_ne!(other[0].to_json_string(), mk()[0]);
+    assert_ne!(cluster_reports(0xBEE5)[0], first[0]);
 }
 
 /// Forked RNG streams are independent of sibling draw order: how much one

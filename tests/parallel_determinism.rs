@@ -8,20 +8,32 @@
 use composable_core::{recommend_jobs, ExperimentOpts, HostConfig, Objective};
 use dlmodels::Benchmark;
 use scheduler::{
-    all_policies, compare_policies_cached, compare_policies_cached_on, compare_policies_faulty,
-    compare_policies_mixed, paper_fault_plan, run_matrix, run_scenario, seeded_pai_mix,
-    serving_policies, trace, warm_set_for_trace, ProbeCache, RackTopology, Scenario,
-    SchedulerConfig,
+    all_policies, compare_policies_faulty, paper_fault_plan, run_matrix, run_scenario, trace,
+    warm_set_for_trace, ProbeCache, RackTopology, Scenario, SchedulerConfig, Topology, Trace,
+    TraceSpec, POLICY_NAMES,
 };
+
+/// `t` replayed under the four training presets on `chassis` chassis.
+fn trace_scenario(t: Trace, chassis: u8, config: SchedulerConfig) -> Scenario {
+    let presets = POLICY_NAMES[..4].iter().map(|p| p.to_string()).collect();
+    Scenario {
+        topology: Topology::with_chassis(chassis),
+        config,
+        ..Scenario::new("parallel", TraceSpec::Jobs { name: t.name, jobs: t.jobs }, presets)
+    }
+}
+
+/// `sc`'s reports and the probe-cache bytes after replaying it from a
+/// cold cache on `jobs` workers.
+fn snapshot(sc: &Scenario, jobs: usize) -> (Vec<String>, String) {
+    let mut cache = ProbeCache::new_for(sc.config.probe_iters, sc.topology.rack());
+    let report = run_scenario(sc, jobs, &mut cache).expect("trace drains under every policy");
+    (report.reports.iter().map(|r| r.to_json_string()).collect(), cache.save_json())
+}
 
 fn replay_snapshot(jobs: usize) -> (Vec<String>, String) {
     let t = trace::seeded_two_tenant(12, 0xBEEF);
-    let cfg = SchedulerConfig::default();
-    let mut cache = ProbeCache::new(cfg.probe_iters);
-    let reports = compare_policies_cached(&t, all_policies(), &cfg, jobs, &mut cache)
-        .expect("trace drains under every policy");
-    let reports: Vec<String> = reports.iter().map(|r| r.to_json_string()).collect();
-    (reports, cache.save_json())
+    snapshot(&trace_scenario(t, 1, SchedulerConfig::default()), jobs)
 }
 
 /// Cluster `ScheduleReport`s *and* the resulting probe-cache contents are
@@ -38,14 +50,10 @@ fn cluster_replay_identical_across_worker_counts() {
 }
 
 fn scale_snapshot(jobs: usize) -> (Vec<String>, String) {
-    let topo = RackTopology::with_chassis(2); // 32 pooled GPUs across the rack fabric
+    // 32 pooled GPUs across the rack fabric.
     let t = trace::seeded_two_tenant(24, 0xBEEF);
     let cfg = SchedulerConfig { quota_gpus_per_tenant: 20, ..SchedulerConfig::default() };
-    let mut cache = ProbeCache::new_for(cfg.probe_iters, topo);
-    let reports = compare_policies_cached_on(topo, &t, all_policies(), &cfg, jobs, &mut cache)
-        .expect("trace drains under every policy on the 2-chassis rack");
-    let reports: Vec<String> = reports.iter().map(|r| r.to_json_string()).collect();
-    (reports, cache.save_json())
+    snapshot(&trace_scenario(t, 2, cfg), jobs)
 }
 
 /// The multi-chassis rack keeps the contract: a 32-GPU (2-chassis) study
@@ -66,7 +74,6 @@ fn rack_scale_replay_identical_across_worker_counts() {
 }
 
 fn priority_snapshot(jobs: usize) -> (Vec<String>, String) {
-    let topo = RackTopology::with_chassis(2);
     let t = trace::seeded_two_tenant(24, 0xBEEF);
     let cfg = SchedulerConfig {
         preempt: true,
@@ -74,11 +81,7 @@ fn priority_snapshot(jobs: usize) -> (Vec<String>, String) {
         quota_gpus_per_tenant: 20,
         ..SchedulerConfig::default()
     };
-    let mut cache = ProbeCache::new_for(cfg.probe_iters, topo);
-    let reports = compare_policies_cached_on(topo, &t, all_policies(), &cfg, jobs, &mut cache)
-        .expect("tiered trace drains under every policy with preemption on");
-    let reports: Vec<String> = reports.iter().map(|r| r.to_json_string()).collect();
-    (reports, cache.save_json())
+    snapshot(&trace_scenario(t, 2, cfg), jobs)
 }
 
 /// Checkpoint preemption and migration defrag keep the contract: the same
@@ -100,24 +103,33 @@ fn priority_replay_identical_across_worker_counts() {
     }
 }
 
-fn faulty_snapshot(jobs: usize) -> (Vec<String>, String) {
-    let t = trace::seeded_two_tenant(12, 0xBEEF);
+fn faulty_snapshot(jobs: usize) -> (Vec<String>, Vec<String>) {
     let plan = paper_fault_plan();
-    let cfg = SchedulerConfig::default();
-    let mut cache = ProbeCache::new(cfg.probe_iters);
-    let pairs = compare_policies_faulty(&t, all_policies(), &plan, &cfg, jobs, &mut cache)
-        .expect("faulty trace drains under every policy");
-    let reports: Vec<String> = pairs
-        .iter()
-        .flat_map(|(base, faulty)| [base.to_json_string(), faulty.to_json_string()])
-        .collect();
-    (reports, cache.save_json())
+    let rack = SchedulerConfig { quota_gpus_per_tenant: 20, ..SchedulerConfig::default() };
+    let legs = [
+        (RackTopology::SINGLE, 12, SchedulerConfig::default()),
+        (RackTopology::with_chassis(2), 24, rack),
+    ];
+    let (mut reports, mut caches) = (Vec::new(), Vec::new());
+    for (topo, n_jobs, cfg) in legs {
+        let t = trace::seeded_two_tenant(n_jobs, 0xBEEF);
+        let mut cache = ProbeCache::new_for(cfg.probe_iters, topo);
+        let pairs =
+            compare_policies_faulty(topo, &t, all_policies(), &plan, &cfg, jobs, &mut cache)
+                .expect("faulty trace drains under every policy");
+        reports.extend(
+            pairs.iter().flat_map(|(base, faulty)| [base.to_json_string(), faulty.to_json_string()]),
+        );
+        caches.push(cache.save_json());
+    }
+    (reports, caches)
 }
 
-/// Failure injection keeps the contract: a seeded fault plan replayed at
-/// `--jobs 1` and `--jobs 4` (and across repeated parallel runs) yields
-/// byte-identical baseline and faulty reports — recovery-metrics block
-/// included — and byte-identical probe caches.
+/// Failure injection keeps the contract: the pinned fault plan replayed
+/// on one chassis and on a 2-chassis rack at `--jobs 1` and `--jobs 4`
+/// (and across repeated parallel runs) yields byte-identical baseline and
+/// faulty reports — recovery-metrics block included — and byte-identical
+/// probe caches.
 #[test]
 fn faulty_replay_identical_across_worker_counts() {
     let serial = faulty_snapshot(1);
@@ -136,13 +148,9 @@ fn faulty_replay_identical_across_worker_counts() {
 }
 
 fn mixed_snapshot(jobs: usize) -> (Vec<String>, String) {
-    let mix = seeded_pai_mix(6, 4, 0xBEEF);
-    let cfg = SchedulerConfig::default();
-    let mut cache = ProbeCache::new(cfg.probe_iters);
-    let reports = compare_policies_mixed(&mix, serving_policies(), &cfg, jobs, &mut cache)
-        .expect("mixed trace drains under every policy");
-    let reports: Vec<String> = reports.iter().map(|r| r.to_json_string()).collect();
-    (reports, cache.save_json())
+    let mix = TraceSpec::PaiMix { n_jobs: 6, n_services: 4, seed: 0xBEEF };
+    let presets = POLICY_NAMES.iter().map(|p| p.to_string()).collect();
+    snapshot(&Scenario::new("mixed", mix, presets), jobs)
 }
 
 /// Inference serving keeps the contract: a mixed training + serving trace
@@ -268,17 +276,16 @@ fn recommend_identical_across_worker_counts() {
 /// simulations and byte-identical reports.
 #[test]
 fn persisted_probe_cache_eliminates_second_run_probes() {
-    let t = trace::seeded_two_tenant(10, 0x5EED5);
-    let cfg = SchedulerConfig::default();
+    let sc = trace_scenario(trace::seeded_two_tenant(10, 0x5EED5), 1, SchedulerConfig::default());
 
-    let mut first = ProbeCache::new(cfg.probe_iters);
-    let reports_a = compare_policies_cached(&t, all_policies(), &cfg, 2, &mut first).unwrap();
+    let mut first = ProbeCache::new(sc.config.probe_iters);
+    let reports_a = run_scenario(&sc, 2, &mut first).unwrap().reports;
     assert!(first.probes_run() > 0, "the first run must actually probe");
     let persisted = first.save_json();
 
-    let mut second = ProbeCache::load_str(&persisted, cfg.probe_iters);
+    let mut second = ProbeCache::load_str(&persisted, sc.config.probe_iters);
     assert_eq!(second.len(), first.len(), "every entry must round-trip");
-    let reports_b = compare_policies_cached(&t, all_policies(), &cfg, 2, &mut second).unwrap();
+    let reports_b = run_scenario(&sc, 2, &mut second).unwrap().reports;
     assert_eq!(
         second.probes_run(),
         0,
