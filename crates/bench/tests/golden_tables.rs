@@ -11,10 +11,10 @@
 //! git diff crates/bench/golden/   # review, then commit
 //! ```
 
-use bench::experiments::{table2_measured, table4_measured};
+use bench::experiments::{self, table2_measured, table4_measured, Scale};
 use composable_core::runner::{run, ExperimentOpts};
 use composable_core::HostConfig;
-use desim::json::Value;
+use desim::json::{ToJson, Value};
 use dlmodels::Benchmark;
 use scheduler::policy::FifoFirstFit;
 use scheduler::{
@@ -130,4 +130,48 @@ fn golden_quick_run_mobilenet() {
     let r = run(Benchmark::MobileNetV2, HostConfig::LocalGpus, &opts).unwrap();
     let pretty = Value::parse(&r.to_json_string()).unwrap().emit_pretty();
     check_golden(golden("quick_run_mobilenet.json"), &pretty);
+}
+
+/// Figs 9–16 at `Scale::quick()`: every grid and Fig 9 run report as
+/// JSON, and every derived row (Figs 10–16) through `Debug`, whose floats
+/// round-trip exactly. Freezes the training engine and the fabric solver
+/// beneath it bit for bit across every paper topology.
+#[test]
+fn golden_quick_figs() {
+    let scale = Scale::quick();
+    let grid = experiments::grid(scale);
+    let mut out = String::new();
+    let mut line = |s: String| {
+        out.push_str(&s);
+        out.push('\n');
+    };
+    for c in &grid {
+        let report = c.report.to_json().emit();
+        line(format!("grid {:?} {} {report}", c.benchmark, c.config.label()));
+    }
+    for row in experiments::fig10(&grid) {
+        line(format!("fig10 {row:?}"));
+    }
+    for row in experiments::fig11(&grid) {
+        line(format!("fig11 {row:?}"));
+    }
+    for row in experiments::fig12(&grid) {
+        line(format!("fig12 {row:?}"));
+    }
+    for row in experiments::fig13(&grid) {
+        line(format!("fig13 {row:?}"));
+    }
+    for row in experiments::fig14(&grid) {
+        line(format!("fig14 {row:?}"));
+    }
+    for (b, r) in experiments::fig9(scale) {
+        line(format!("fig9 {b:?} {}", r.to_json().emit()));
+    }
+    for row in experiments::fig15(scale) {
+        line(format!("fig15 {row:?}"));
+    }
+    for row in experiments::fig16(scale) {
+        line(format!("fig16 {row:?}"));
+    }
+    check_golden(golden("quick_figs.txt"), &out);
 }
