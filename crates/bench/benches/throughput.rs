@@ -53,15 +53,19 @@ fn replay_portfolio(jobs: usize) -> Vec<ScheduleReport> {
     run_scenario(&sc, jobs, &mut cache).expect("trace drains under every policy").reports
 }
 
-fn grid_cells() -> Vec<(Benchmark, HostConfig)> {
+fn grid_cells() -> Vec<(Benchmark, HostConfig, ExperimentOpts)> {
     [Benchmark::MobileNetV2, Benchmark::ResNet50]
         .into_iter()
-        .flat_map(|b| HostConfig::gpu_configs().into_iter().map(move |c| (b, c)))
+        .flat_map(|b| {
+            HostConfig::gpu_configs()
+                .into_iter()
+                .map(move |c| (b, c, ExperimentOpts::scaled(2)))
+        })
         .collect()
 }
 
 fn grid_slice(jobs: usize) -> usize {
-    let reports = sweep_jobs(&grid_cells(), &ExperimentOpts::scaled(2), jobs);
+    let reports = sweep_jobs(&grid_cells(), jobs);
     reports.iter().filter(|r| r.is_ok()).count()
 }
 

@@ -225,15 +225,23 @@ pub struct Fig16Row {
 /// Fig 16 (measured): BERT-large under DP-fp32, DDP-fp32, DDP-fp16 and
 /// sharded-fp16 (batch 6 → 10) on the three GPU configurations. Batches
 /// auto-clamp to what fits each variant (the fp32 variants cannot hold
-/// batch 6 on a 16 GB V100).
+/// batch 6 on a 16 GB V100). The 12 runs fan out over
+/// [`parsweep::default_jobs`] workers, like the grid.
 pub fn fig16(scale: Scale) -> Vec<Fig16Row> {
+    fig16_jobs(scale, parsweep::default_jobs())
+}
+
+/// [`fig16`] on `jobs` sweep workers; rows come back in (config, variant)
+/// order at any worker count.
+pub fn fig16_jobs(scale: Scale, jobs: usize) -> Vec<Fig16Row> {
     let variants: [(&'static str, Strategy, Precision, Option<u64>); 4] = [
         ("DP fp32", Strategy::Dp, Precision::Fp32, None),
         ("DDP fp32", Strategy::ddp(), Precision::Fp32, None),
         ("DDP fp16", Strategy::ddp(), Precision::Fp16, None),
         ("DDP fp16 sharded", Strategy::sharded(), Precision::Fp16, Some(10)),
     ];
-    let mut rows = Vec::new();
+    let mut names = Vec::new();
+    let mut cells = Vec::new();
     for config in HostConfig::gpu_configs() {
         for (variant, strategy, precision, batch) in variants {
             let mut opts = scale
@@ -245,20 +253,26 @@ pub fn fig16(scale: Scale) -> Vec<Fig16Row> {
             if let Some(b) = batch {
                 opts = opts.with_batch(b);
             }
-            let r = composable_core::run(Benchmark::BertLarge, config, &opts)
-                .expect("auto-batched variants fit");
+            names.push(variant);
+            cells.push((Benchmark::BertLarge, config, opts));
+        }
+    }
+    runner::sweep_jobs(&cells, jobs)
+        .into_iter()
+        .zip(cells.iter().zip(names))
+        .map(|(r, (&(_, config, _), variant))| {
+            let r = r.expect("auto-batched variants fit");
             // Recover the batch actually used from throughput × iter time.
             let per_gpu_batch = (r.throughput * r.mean_iter.as_secs_f64() / 8.0).round() as u64;
-            rows.push(Fig16Row {
+            Fig16Row {
                 config,
                 variant,
                 per_gpu_batch,
                 throughput: r.throughput,
                 mean_iter_secs: r.mean_iter.as_secs_f64(),
-            });
-        }
-    }
-    rows
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
-//! Golden-table regression tests: the paper's headline tables and one
-//! full (scaled) run report are rendered to JSON and compared against
-//! checked-in snapshots under `crates/bench/golden/`.
+//! Golden-table regression tests: the paper's headline tables, one full
+//! (scaled) run report and figs 9–16 at quick scale are rendered and
+//! compared against checked-in snapshots under `crates/bench/golden/`.
 //!
 //! The producing pipelines are fully deterministic (fixed seed, discrete
 //! event simulation, no wall-clock), so the snapshots change only when
@@ -146,8 +146,8 @@ fn golden_quick_figs() {
         out.push('\n');
     };
     for c in &grid {
-        let report = c.report.to_json().emit();
-        line(format!("grid {:?} {} {report}", c.benchmark, c.config.label()));
+        let (benchmark, config, report) = (c.benchmark, c.config.label(), c.report.to_json());
+        line(format!("grid {benchmark:?} {config} {}", report.emit()));
     }
     for row in experiments::fig10(&grid) {
         line(format!("fig10 {row:?}"));

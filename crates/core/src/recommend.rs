@@ -70,9 +70,11 @@ pub fn recommend_jobs(
     opts: &ExperimentOpts,
     jobs: usize,
 ) -> Vec<Recommendation> {
-    let cells: Vec<(Benchmark, HostConfig)> =
-        candidates.iter().map(|&c| (benchmark, c)).collect();
-    let mut ranked: Vec<Recommendation> = crate::runner::sweep_jobs(&cells, opts, jobs)
+    let cells: Vec<(Benchmark, HostConfig, ExperimentOpts)> = candidates
+        .iter()
+        .map(|&c| (benchmark, c, opts.clone()))
+        .collect();
+    let mut ranked: Vec<Recommendation> = crate::runner::sweep_jobs(&cells, jobs)
         .into_iter()
         .zip(candidates)
         .filter_map(|(result, &config)| {

@@ -126,30 +126,34 @@ pub fn run(
     run_job(composed.topology, composed.cluster, cfg)
 }
 
-/// Run a sweep of `(benchmark, config)` cells on [`parsweep::default_jobs`]
-/// workers. Each simulation is single-threaded and deterministic; the
-/// sweep is embarrassingly parallel and results come back in cell order,
-/// so output is byte-identical to running serially.
+/// Run a sweep of `(benchmark, config)` cells, all under `opts`, on
+/// [`parsweep::default_jobs`] workers. Each simulation is single-threaded
+/// and deterministic; the sweep is embarrassingly parallel and results
+/// come back in cell order, so output is byte-identical to running
+/// serially.
 pub fn sweep(
     cells: &[(Benchmark, HostConfig)],
     opts: &ExperimentOpts,
 ) -> Vec<Result<RunReport, TrainError>> {
-    sweep_jobs(cells, opts, parsweep::default_jobs())
+    let cells: Vec<(Benchmark, HostConfig, ExperimentOpts)> =
+        cells.iter().map(|&(b, c)| (b, c, opts.clone())).collect();
+    sweep_jobs(&cells, parsweep::default_jobs())
 }
 
-/// [`sweep`] with an explicit worker count (a bounded work-stealing pool,
-/// not one thread per cell — a 25-cell paper grid no longer oversubscribes
-/// a small machine).
+/// Run `(benchmark, config, opts)` cells, each under its own options, on
+/// `jobs` workers (a bounded work-stealing pool, not one thread per cell —
+/// a 25-cell paper grid no longer oversubscribes a small machine).
+/// Results come back in cell order.
 pub fn sweep_jobs(
-    cells: &[(Benchmark, HostConfig)],
-    opts: &ExperimentOpts,
+    cells: &[(Benchmark, HostConfig, ExperimentOpts)],
     jobs: usize,
 ) -> Vec<Result<RunReport, TrainError>> {
     parsweep::run(
         jobs,
         cells
             .iter()
-            .map(|&(benchmark, config)| {
+            .map(|(benchmark, config, opts)| {
+                let (benchmark, config) = (*benchmark, *config);
                 parsweep::Job::new(format!("{} on {config:?}", benchmark.label()), move || {
                     run(benchmark, config, opts)
                 })

@@ -76,7 +76,7 @@ impl std::error::Error for JsonError {}
 
 impl Value {
     pub fn from_u64(n: u64) -> Value {
-        debug_assert!(n <= (1u64 << 53), "u64 {n} exceeds exact f64 range");
+        debug_assert!(n < (1u64 << 53), "u64 {n} exceeds exact f64 range");
         Value::Num(n as f64)
     }
 
@@ -108,10 +108,20 @@ impl Value {
         }
     }
 
+    /// An unsigned integer below 2^53. Numbers are carried as `f64`, so a
+    /// literal at or above 2^53 may already have been rounded (the literal
+    /// `9007199254740993` parses as 2^53 exactly) and is refused rather
+    /// than silently read as a neighbouring integer.
     pub fn as_u64(&self) -> Result<u64, JsonError> {
         let n = self.as_f64()?;
-        if n < 0.0 || n.fract() != 0.0 || n > (1u64 << 53) as f64 {
+        if n < 0.0 || n.fract() != 0.0 {
             return Err(JsonError::decode(format!("expected unsigned integer, got {n}")));
+        }
+        if n >= (1u64 << 53) as f64 {
+            return Err(JsonError::decode(format!(
+                "integer {n} is not exactly representable: unsigned integers must be below \
+                 2^53 = 9007199254740992"
+            )));
         }
         Ok(n as u64)
     }
@@ -681,6 +691,20 @@ mod tests {
             let back = Value::parse(&emitted).unwrap().as_f64().unwrap();
             assert_eq!(back.to_bits(), f.to_bits(), "{f} via {emitted}");
         }
+    }
+
+    #[test]
+    fn integers_at_or_above_2_pow_53_are_refused() {
+        // The literal rounds to exactly 2^53 on parse; reading it back as
+        // ...992 would silently change the number the user wrote.
+        let err = Value::parse("9007199254740993")
+            .unwrap()
+            .as_u64()
+            .unwrap_err();
+        assert!(err.to_string().contains("9007199254740992"), "{err}");
+        assert!(Value::parse("9007199254740992").unwrap().as_u64().is_err());
+        let below = Value::parse("9007199254740991").unwrap().as_u64().unwrap();
+        assert_eq!(below, (1u64 << 53) - 1);
     }
 
     #[test]

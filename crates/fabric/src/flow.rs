@@ -93,32 +93,47 @@ pub struct FabricState<S> {
     free: Vec<u32>,
     last_settle: SimTime,
     active_count: usize,
-    /// Reverse index: dense directed-link index → slots of *active* flows
-    /// crossing it. Maintained on activate/complete/abort so that
-    /// incremental repricing can walk the link-sharing graph without
-    /// scanning every flow.
-    link_flows: std::collections::HashMap<usize, Vec<u32>>,
+    /// Reverse index: dense directed-link index
+    /// ([`DirLink::dense_index`]) → slots of *active* flows crossing it.
+    /// Maintained on activate/complete/abort so that incremental repricing
+    /// can walk the link-sharing graph without scanning every flow. Sized
+    /// to `2 × topo.link_count()` and grown lazily; a link whose last flow
+    /// leaves keeps its (empty) vector, so the next flow to cross it
+    /// allocates nothing.
+    link_flows: Vec<Vec<u32>>,
     scratch: Scratch,
 }
 
 /// Reusable buffers for [`FabricState::recompute_and_reschedule`] — the
 /// allocator runs on every flow start/finish/abort (the inner loop of
-/// every probe and replay), so its working vectors and maps are hoisted
-/// here and cleared per call instead of reallocated. Holding stale
-/// contents between calls is fine: every field is rebuilt from scratch
-/// (after `clear`) before it is read.
+/// every probe and replay), so its working vectors are hoisted here and
+/// reused instead of reallocated.
+///
+/// Per-flow vectors are indexed by position in `active` and cleared per
+/// call. Per-link vectors are dense, indexed by
+/// [`DirLink::dense_index`], sized to `2 × topo.link_count()` and grown
+/// lazily. Between calls `live`, `link_seen` and the per-slot `visited`
+/// are zero everywhere: a fill or walk records the links (and slots) it
+/// touches in `links` (and `active`) and resets exactly those, so the
+/// steady-state reprice neither hashes nor allocates. `residual` is only
+/// read for links in `links`, each of which the fill set on first touch.
 #[derive(Default)]
 struct Scratch {
     active: Vec<u32>,
     ceiling: Vec<f64>,
     frozen: Vec<bool>,
     rate: Vec<f64>,
-    residual: std::collections::HashMap<usize, (f64, u32)>,
-    users: std::collections::HashMap<usize, Vec<usize>>,
-    /// Component-walk state for incremental repricing.
+    /// Links touched by the current fill or component walk, in
+    /// first-touch order (the walk also uses it as its work queue).
+    links: Vec<usize>,
+    /// Per link: capacity not yet handed out at the current water level.
+    residual: Vec<f64>,
+    /// Per link: unfrozen flows crossing it (one per crossing), counted
+    /// up as the fill registers flows and down as each one freezes.
+    live: Vec<u32>,
+    /// Component-walk state for incremental repricing: per slot, per link.
     visited: Vec<bool>,
-    link_stack: Vec<usize>,
-    link_seen: std::collections::HashSet<usize>,
+    link_seen: Vec<bool>,
 }
 
 impl Scratch {
@@ -127,11 +142,16 @@ impl Scratch {
         self.ceiling.clear();
         self.frozen.clear();
         self.rate.clear();
-        self.residual.clear();
-        self.users.clear();
-        self.visited.clear();
-        self.link_stack.clear();
-        self.link_seen.clear();
+        self.links.clear();
+    }
+
+    /// Grow the per-link vectors to cover `n` dense link indices.
+    fn fit_links(&mut self, n: usize) {
+        if self.live.len() < n {
+            self.residual.resize(n, 0.0);
+            self.live.resize(n, 0);
+            self.link_seen.resize(n, false);
+        }
     }
 }
 
@@ -149,7 +169,7 @@ impl<S: FlowWorld> FabricState<S> {
             free: Vec::new(),
             last_settle: SimTime::ZERO,
             active_count: 0,
-            link_flows: std::collections::HashMap::new(),
+            link_flows: Vec::new(),
             scratch: Scratch::default(),
         }
     }
@@ -244,23 +264,20 @@ impl<S: FlowWorld> FabricState<S> {
 
     /// Register an active flow's links in the reverse index.
     fn index_add(&mut self, slot: u32, route: &Route) {
+        let n = 2 * self.topo.link_count();
+        if self.link_flows.len() < n {
+            self.link_flows.resize_with(n, Vec::new);
+        }
         for dl in &route.hops {
-            self.link_flows
-                .entry(dl.dense_index())
-                .or_default()
-                .push(slot);
+            self.link_flows[dl.dense_index()].push(slot);
         }
     }
 
     /// Remove an active flow's links from the reverse index.
     fn index_remove(&mut self, slot: u32, route: &Route) {
         for dl in &route.hops {
-            let idx = dl.dense_index();
-            if let Some(users) = self.link_flows.get_mut(&idx) {
+            if let Some(users) = self.link_flows.get_mut(dl.dense_index()) {
                 users.retain(|&s| s != slot);
-                if users.is_empty() {
-                    self.link_flows.remove(&idx);
-                }
             }
         }
     }
@@ -449,23 +466,29 @@ impl<S: FlowWorld> FabricState<S> {
         }
         let mut sc = std::mem::take(&mut self.scratch);
         sc.clear();
-        sc.visited.resize(self.slots.len(), false);
+        sc.fit_links(2 * self.topo.link_count());
+        if sc.visited.len() < self.slots.len() {
+            sc.visited.resize(self.slots.len(), false);
+        }
 
         // Breadth-first walk of the link-sharing graph: links seed flows,
-        // flows seed their other links. `sc.active` accumulates the
-        // component's member slots.
+        // flows seed their other links. `sc.links` is the queue of seen
+        // links; `sc.active` accumulates the component's member slots.
         if let Some(slot) = seed_slot {
             sc.visited[slot as usize] = true;
             sc.active.push(slot);
         }
         for dl in seed_hops {
             let idx = dl.dense_index();
-            if sc.link_seen.insert(idx) {
-                sc.link_stack.push(idx);
+            if !sc.link_seen[idx] {
+                sc.link_seen[idx] = true;
+                sc.links.push(idx);
             }
         }
-        while let Some(idx) = sc.link_stack.pop() {
-            let Some(users) = self.link_flows.get(&idx) else {
+        let mut next = 0;
+        while let Some(&idx) = sc.links.get(next) {
+            next += 1;
+            let Some(users) = self.link_flows.get(idx) else {
                 continue;
             };
             for &slot in users {
@@ -475,13 +498,22 @@ impl<S: FlowWorld> FabricState<S> {
                     let st = self.slots[slot as usize].as_ref().expect("indexed flow is live");
                     for dl in &st.route.hops {
                         let li = dl.dense_index();
-                        if sc.link_seen.insert(li) {
-                            sc.link_stack.push(li);
+                        if !sc.link_seen[li] {
+                            sc.link_seen[li] = true;
+                            sc.links.push(li);
                         }
                     }
                 }
             }
         }
+        // Leave the walk state all-false for the next call.
+        for &idx in &sc.links {
+            sc.link_seen[idx] = false;
+        }
+        for &slot in &sc.active {
+            sc.visited[slot as usize] = false;
+        }
+        sc.links.clear();
 
         if sc.active.is_empty() {
             // A departed flow shared no links with anyone still active.
@@ -540,24 +572,44 @@ impl<S: FlowWorld> FabricState<S> {
     /// Progressive-filling core: compute the max-min fair rate for each
     /// flow in `sc.active` (which must list a union of complete
     /// link-sharing components in ascending slot order) into `sc.rate`.
+    ///
+    /// Every per-link quantity lives in the dense [`Scratch`] vectors, and
+    /// the unfrozen-user count of each link is kept up to date as flows
+    /// freeze rather than recounted each round. Each link's headroom
+    /// (`residual / live`) and consumption (`residual - inc × live`) are
+    /// the same expressions over the same integer counts as a recount, and
+    /// `min` is exact, so neither the layout nor the order in which links
+    /// are visited can change a rate.
     fn fill_rates(&self, sc: &mut Scratch) {
-        let active = &sc.active;
+        sc.fit_links(2 * self.topo.link_count());
+        let Scratch {
+            active,
+            ceiling,
+            frozen,
+            rate,
+            links,
+            residual,
+            live,
+            ..
+        } = sc;
 
-        // Residual capacity per directed link (dense index), counting only
-        // links actually used.
-        let residual = &mut sc.residual;
-        // Per-flow ceiling: bottleneck capacity × path efficiency. Zero-hop
-        // flows (src == dst) are unconstrained by links; give them an
-        // effectively infinite rate so they complete immediately.
-        let ceiling = &mut sc.ceiling;
-        for &i in active {
+        // Register each flow on its links; a link's first user sets its
+        // residual to full capacity. Per-flow ceiling: bottleneck capacity
+        // × path efficiency. Zero-hop flows (src == dst) are unconstrained
+        // by links; give them an effectively infinite rate so they
+        // complete immediately.
+        for &i in active.iter() {
             let st = self.slots[i as usize].as_ref().unwrap();
             let mut bottleneck = f64::INFINITY;
             for &dl in &st.route.hops {
                 let cap = self.topo.capacity(dl);
                 bottleneck = bottleneck.min(cap);
-                let entry = residual.entry(dl.dense_index()).or_insert((cap, 0));
-                entry.1 += 1;
+                let idx = dl.dense_index();
+                if live[idx] == 0 {
+                    residual[idx] = cap;
+                    links.push(idx);
+                }
+                live[idx] += 1;
             }
             ceiling.push(if st.route.hops.is_empty() {
                 f64::INFINITY
@@ -568,28 +620,16 @@ impl<S: FlowWorld> FabricState<S> {
 
         // Progressive filling: all unfrozen flows share one rising level.
         let n = active.len();
-        let frozen = &mut sc.frozen;
         frozen.resize(n, false);
-        let rate = &mut sc.rate;
         rate.resize(n, 0.0f64);
         let mut level = 0.0f64;
         let mut unfrozen = n;
-        // Map dense link index -> list of flow positions using it.
-        let users = &mut sc.users;
-        for (pos, &i) in active.iter().enumerate() {
-            let st = self.slots[i as usize].as_ref().unwrap();
-            for &dl in &st.route.hops {
-                users.entry(dl.dense_index()).or_default().push(pos);
-            }
-        }
-
         while unfrozen > 0 {
             // Smallest headroom across links and flow ceilings.
             let mut inc = f64::INFINITY;
-            for (idx, &(res, _)) in residual.iter() {
-                let live = users[idx].iter().filter(|&&p| !frozen[p]).count() as f64;
-                if live > 0.0 {
-                    inc = inc.min(res / live);
+            for &idx in links.iter() {
+                if live[idx] > 0 {
+                    inc = inc.min(residual[idx] / f64::from(live[idx]));
                 }
             }
             for p in 0..n {
@@ -609,29 +649,33 @@ impl<S: FlowWorld> FabricState<S> {
             }
             let inc = inc.max(0.0);
             level += inc;
-            // Consume capacity.
-            for (idx, entry) in residual.iter_mut() {
-                let live = users[idx].iter().filter(|&&p| !frozen[p]).count() as f64;
-                entry.0 = (entry.0 - inc * live).max(0.0);
+            // Consume capacity. (A link with no unfrozen user would lose
+            // `inc × 0`, leaving its residual unchanged.)
+            for &idx in links.iter() {
+                if live[idx] > 0 {
+                    residual[idx] = (residual[idx] - inc * f64::from(live[idx])).max(0.0);
+                }
             }
-            // Freeze flows at saturated links or at their ceiling.
+            // Freeze flows at saturated links or at their ceiling. Freezing
+            // only lowers `live`, which this pass does not read, so the
+            // outcome is the same as deciding every flow first.
             let mut changed = false;
             for p in 0..n {
                 if frozen[p] {
                     continue;
                 }
-                let st = self.slots[active[p] as usize].as_ref().unwrap();
+                let hops = &self.slots[active[p] as usize].as_ref().unwrap().route.hops;
                 let at_ceiling = level + RATE_EPS >= ceiling[p];
-                let at_saturated_link = st.route.hops.iter().any(|dl| {
-                    residual
-                        .get(&dl.dense_index())
-                        .is_some_and(|&(res, _)| res <= RATE_EPS)
-                });
+                let at_saturated_link =
+                    hops.iter().any(|dl| residual[dl.dense_index()] <= RATE_EPS);
                 if at_ceiling || at_saturated_link {
                     rate[p] = level;
                     frozen[p] = true;
                     unfrozen -= 1;
                     changed = true;
+                    for dl in hops {
+                        live[dl.dense_index()] -= 1;
+                    }
                 }
             }
             if !changed && inc <= RATE_EPS {
@@ -644,6 +688,11 @@ impl<S: FlowWorld> FabricState<S> {
                     }
                 }
             }
+        }
+        // Hand the per-link counts back zeroed (the stall and zero-hop
+        // exits freeze flows without counting them down).
+        for &idx in links.iter() {
+            live[idx] = 0;
         }
     }
 
@@ -677,6 +726,10 @@ mod tests {
     use crate::link::{LinkClass, LinkSpec};
     use crate::topology::NodeKind;
     use crate::GB;
+    use testkit::{
+        f64_in, prop_assert_eq, property, select, tuple2, tuple3, tuple4, u64_in, usize_in, vec_of,
+        Gen,
+    };
 
     /// Minimal world: just a fabric plus a completion log.
     struct World {
@@ -877,5 +930,277 @@ mod tests {
             .start_flow(&mut sim, a, b, 1.0, FlowTag::UNTAGGED, log("f"));
         sim.run(&mut w);
         assert!(!w.fabric.abort_flow(&mut sim, id), "already finished");
+    }
+
+    /// The progressive filling the dense kernel replaced, kept as it was
+    /// (SipHash maps, per-round recount of each link's unfrozen users) as
+    /// the bit-identity oracle for [`FabricState::fill_rates`].
+    fn reference_fill<S: FlowWorld>(fab: &FabricState<S>, active: &[u32]) -> Vec<f64> {
+        use std::collections::HashMap;
+
+        // Residual capacity per directed link (dense index), counting only
+        // links actually used.
+        let mut residual: HashMap<usize, (f64, u32)> = HashMap::new();
+        // Per-flow ceiling: bottleneck capacity × path efficiency. Zero-hop
+        // flows (src == dst) are unconstrained by links; give them an
+        // effectively infinite rate so they complete immediately.
+        let mut ceiling = Vec::new();
+        for &i in active {
+            let st = fab.slots[i as usize].as_ref().unwrap();
+            let mut bottleneck = f64::INFINITY;
+            for &dl in &st.route.hops {
+                let cap = fab.topo.capacity(dl);
+                bottleneck = bottleneck.min(cap);
+                let entry = residual.entry(dl.dense_index()).or_insert((cap, 0));
+                entry.1 += 1;
+            }
+            ceiling.push(if st.route.hops.is_empty() {
+                f64::INFINITY
+            } else {
+                bottleneck * st.route.path_efficiency
+            });
+        }
+
+        // Progressive filling: all unfrozen flows share one rising level.
+        let n = active.len();
+        let mut frozen = vec![false; n];
+        let mut rate = vec![0.0f64; n];
+        let mut level = 0.0f64;
+        let mut unfrozen = n;
+        // Map dense link index -> list of flow positions using it.
+        let mut users: HashMap<usize, Vec<usize>> = HashMap::new();
+        for (pos, &i) in active.iter().enumerate() {
+            let st = fab.slots[i as usize].as_ref().unwrap();
+            for &dl in &st.route.hops {
+                users.entry(dl.dense_index()).or_default().push(pos);
+            }
+        }
+
+        while unfrozen > 0 {
+            // Smallest headroom across links and flow ceilings.
+            let mut inc = f64::INFINITY;
+            for (idx, &(res, _)) in residual.iter() {
+                let live = users[idx].iter().filter(|&&p| !frozen[p]).count() as f64;
+                if live > 0.0 {
+                    inc = inc.min(res / live);
+                }
+            }
+            for p in 0..n {
+                if !frozen[p] && ceiling[p].is_finite() {
+                    inc = inc.min(ceiling[p] - level);
+                }
+            }
+            if !inc.is_finite() {
+                // Only zero-hop flows remain; they get "infinite" rate.
+                for p in 0..n {
+                    if !frozen[p] {
+                        rate[p] = f64::INFINITY;
+                        frozen[p] = true;
+                    }
+                }
+                break;
+            }
+            let inc = inc.max(0.0);
+            level += inc;
+            // Consume capacity.
+            for (idx, entry) in residual.iter_mut() {
+                let live = users[idx].iter().filter(|&&p| !frozen[p]).count() as f64;
+                entry.0 = (entry.0 - inc * live).max(0.0);
+            }
+            // Freeze flows at saturated links or at their ceiling.
+            let mut changed = false;
+            for p in 0..n {
+                if frozen[p] {
+                    continue;
+                }
+                let st = fab.slots[active[p] as usize].as_ref().unwrap();
+                let at_ceiling = level + RATE_EPS >= ceiling[p];
+                let at_saturated_link = st.route.hops.iter().any(|dl| {
+                    residual
+                        .get(&dl.dense_index())
+                        .is_some_and(|&(res, _)| res <= RATE_EPS)
+                });
+                if at_ceiling || at_saturated_link {
+                    rate[p] = level;
+                    frozen[p] = true;
+                    unfrozen -= 1;
+                    changed = true;
+                }
+            }
+            if !changed && inc <= RATE_EPS {
+                // Numerical stall: freeze everything at the current level.
+                for p in 0..n {
+                    if !frozen[p] {
+                        rate[p] = level;
+                        frozen[p] = true;
+                        unfrozen -= 1;
+                    }
+                }
+            }
+        }
+        rate
+    }
+
+    const SPOKES: usize = 4;
+
+    /// `islands` disjoint stars (one is a plain star) of `SPOKES` GPUs
+    /// each; spoke `s` of island `i` links at `caps[i * SPOKES + s]` GB/s.
+    fn stars(islands: usize, caps: &[f64]) -> (Topology, Vec<Vec<NodeId>>) {
+        let mut topo = Topology::new();
+        let nodes = (0..islands)
+            .map(|isl| {
+                let sw = topo.add_node(format!("sw{isl}"), NodeKind::PcieSwitch);
+                (0..SPOKES)
+                    .map(|s| {
+                        let g = topo.add_node(format!("g{isl}_{s}"), NodeKind::Gpu);
+                        let spec = LinkSpec::of(LinkClass::PcieGen4x16)
+                            .with_capacity(caps[isl * SPOKES + s] * GB)
+                            .with_latency(Dur::from_nanos(100));
+                        topo.add_link(g, sw, spec);
+                        g
+                    })
+                    .collect()
+            })
+            .collect();
+        (topo, nodes)
+    }
+
+    #[derive(Debug, Clone)]
+    struct FillCase {
+        islands: usize,
+        /// Spoke capacities (GB/s) from a three-value menu, so equal-
+        /// capacity ties that freeze several flows in one round are common.
+        caps: Vec<f64>,
+        /// (island, src spoke, dst spoke, gigabytes, start ms, abort ms).
+        /// `src == dst` is a zero-hop flow; a flow alone on its links is
+        /// held to its route ceiling.
+        xfers: Vec<(usize, usize, usize, f64, u64, Option<u64>)>,
+    }
+
+    fn fill_case() -> Gen<FillCase> {
+        tuple3(
+            usize_in(1..3),
+            vec_of(select(vec![4.0, 8.0, 16.0]), 2 * SPOKES..2 * SPOKES + 1),
+            vec_of(
+                tuple4(
+                    tuple2(
+                        usize_in(0..2),
+                        tuple2(usize_in(0..SPOKES), usize_in(0..SPOKES)),
+                    ),
+                    f64_in(0.0, 2.0),
+                    u64_in(0..30),
+                    tuple2(usize_in(0..4), u64_in(0..60)),
+                ),
+                1..12,
+            ),
+        )
+        .map(|(islands, caps, xfers)| FillCase {
+            islands: *islands,
+            caps: caps.clone(),
+            xfers: xfers
+                .iter()
+                .map(|&((isl, (s, d)), gb, start, (sel, abort))| {
+                    // ~25% of flows get a scheduled abort.
+                    (isl % islands, s, d, gb, start, (sel == 0).then_some(abort))
+                })
+                .collect(),
+        })
+    }
+
+    struct FillWorld {
+        fabric: FabricState<FillWorld>,
+        ids: Vec<Option<FlowId>>,
+    }
+
+    impl FlowWorld for FillWorld {
+        fn fabric(&mut self) -> &mut FabricState<FillWorld> {
+            &mut self.fabric
+        }
+    }
+
+    /// Replay `case` one event at a time. After every event, the last
+    /// fill's rates must equal `reference_fill` over the same flows bit
+    /// for bit, and every active flow must still carry the bits the
+    /// reference gave it when it was last priced.
+    fn replay_against_reference(case: &FillCase, incremental: bool) -> Result<(), String> {
+        let (topo, nodes) = stars(case.islands, &case.caps);
+        let mut world = FillWorld {
+            fabric: FabricState::new(topo),
+            ids: vec![None; case.xfers.len()],
+        };
+        world.fabric.incremental = incremental;
+        let mut sim: Sim<FillWorld> = Sim::new();
+        for (i, &(isl, s, d, gb, start, abort)) in case.xfers.iter().enumerate() {
+            let (src, dst) = (nodes[isl][s], nodes[isl][d]);
+            let bytes = gb * GB;
+            let start = SimTime::from_millis(start);
+            sim.schedule_at(start, move |w: &mut FillWorld, sim| {
+                let done: FlowCallback<FillWorld> = Box::new(|_, _| {});
+                let id = w
+                    .fabric
+                    .start_flow(sim, src, dst, bytes, FlowTag::UNTAGGED, done);
+                w.ids[i] = Some(id);
+            });
+            if let Some(at) = abort {
+                sim.schedule_at(SimTime::from_millis(at), move |w: &mut FillWorld, sim| {
+                    if let Some(id) = w.ids[i] {
+                        w.fabric.abort_flow(sim, id);
+                    }
+                });
+            }
+        }
+        let mut expected: Vec<u64> = Vec::new();
+        while sim.step(&mut world) {
+            let fab = &world.fabric;
+            let is_active = |slot: u32| {
+                fab.slots[slot as usize]
+                    .as_ref()
+                    .is_some_and(|st| st.phase == Phase::Active)
+            };
+            expected.resize(fab.slots.len(), 0);
+            // The scratch keeps the last fill's flows and rates until the
+            // next reprice clears it.
+            let sc = &fab.scratch;
+            if !sc.active.is_empty()
+                && sc.rate.len() == sc.active.len()
+                && sc.active.iter().all(|&slot| is_active(slot))
+            {
+                let reference = reference_fill(fab, &sc.active);
+                for (p, &slot) in sc.active.iter().enumerate() {
+                    prop_assert_eq!(
+                        sc.rate[p].to_bits(),
+                        reference[p].to_bits(),
+                        "slot {slot} at {:?}: dense {} vs reference {}",
+                        sim.now(),
+                        sc.rate[p],
+                        reference[p]
+                    );
+                    expected[slot as usize] = reference[p].to_bits();
+                }
+            }
+            for (slot, st) in fab.slots.iter().enumerate() {
+                if let Some(st) = st.as_ref().filter(|st| st.phase == Phase::Active) {
+                    prop_assert_eq!(
+                        st.rate.to_bits(),
+                        expected[slot],
+                        "slot {slot} at {:?} carries {} B/s",
+                        sim.now(),
+                        st.rate
+                    );
+                }
+            }
+        }
+        Ok(())
+    }
+
+    property! {
+        /// The dense kernel reproduces the hashed progressive filling bit
+        /// for bit after every event, under component repricing and under
+        /// the global recompute alike.
+        #[cases(64)]
+        fn dense_fill_matches_reference_bit_for_bit(case in fill_case()) {
+            replay_against_reference(&case, true)?;
+            replay_against_reference(&case, false)?;
+        }
     }
 }

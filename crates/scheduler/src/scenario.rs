@@ -942,6 +942,18 @@ mod tests {
     }
 
     #[test]
+    fn arrival_beyond_exact_integer_range_is_refused_at_parse() {
+        let text = inline_job_scenario(1, 1).to_json_string();
+        assert!(text.contains("\"arrival_ns\": 0"), "{text}");
+        // 2^53 + 1: parses to 2^53 as an f64, so it cannot be read back
+        // as the integer written.
+        let hostile = text.replace("\"arrival_ns\": 0", "\"arrival_ns\": 9007199254740993");
+        let err = Scenario::from_json_str(&hostile).unwrap_err();
+        assert!(err.to_string().contains("9007199254740992"), "{err}");
+        assert!(Scenario::from_json_str(&text).is_ok());
+    }
+
+    #[test]
     fn validate_rejects_zero_gpu_demand() {
         let sc = inline_job_scenario(0, 0);
         let zero = SchedulerError::BadDemand { job: 7, gpus: 0, pool: 16 };

@@ -58,6 +58,18 @@ cargo run --release --offline -p bench --bin repro -- faults --jobs 2
 echo "== priority-scenario smoke (cluster_priority, 2 workers) =="
 cargo run --release --offline -p bench --bin repro -- scenario scenarios/cluster_priority.json --jobs 2
 
+# A paper figure driven through the CLI's fan-out: Fig 16's twelve
+# BERT-large cells run on the sweep pool, so the printed table must be
+# byte-identical whether one worker runs them or two.
+echo "== fig16 fan-out: repro --quick fig16 at 1 and 2 workers, stdout byte-identical =="
+cargo run --release --offline -q -p bench --bin repro -- --quick fig16 --jobs 1 > target/fig16_jobs1.txt
+cargo run --release --offline -q -p bench --bin repro -- --quick fig16 --jobs 2 > target/fig16_jobs2.txt
+if ! cmp -s target/fig16_jobs1.txt target/fig16_jobs2.txt; then
+    echo "ERROR: repro --quick fig16 output depends on the worker count" >&2
+    diff target/fig16_jobs1.txt target/fig16_jobs2.txt >&2 || true
+    exit 1
+fi
+
 # The production-scale replay (10k jobs + 60 services, ~188k trace
 # events) must stay interactive in release mode: the optimized engine
 # replays it in well under a second, so a 60-second wall-clock budget

@@ -1,10 +1,11 @@
 //! Parallel execution must never change a byte of output: every sweep in
 //! the workspace (cluster policy replays, recommendation ranking, probe
-//! warming) produces identical results at `--jobs 1` and `--jobs 4`, and
-//! across repeated parallel runs. This is the contract `parsweep` exists
+//! warming, paper-figure cells) produces identical results at `--jobs 1`
+//! and `--jobs 4`, and across repeated parallel runs. This is the contract `parsweep` exists
 //! to uphold (DESIGN §9) and what lets the golden tables stay valid while
 //! the harness fans out.
 
+use bench::experiments::{self, Scale};
 use composable_core::{recommend_jobs, ExperimentOpts, HostConfig, Objective};
 use dlmodels::Benchmark;
 use scheduler::{
@@ -269,6 +270,16 @@ fn recommend_identical_across_worker_counts() {
     let serial = snapshot(1);
     assert_eq!(serial, snapshot(4));
     assert!(!serial.is_empty());
+}
+
+/// Fig 16's twelve BERT-large cells, fanned through the runner's sweep
+/// pool, produce byte-identical rows in the same order at 1 and 4 workers.
+#[test]
+fn fig16_identical_across_worker_counts() {
+    let rows = |jobs: usize| format!("{:?}", experiments::fig16_jobs(Scale::quick(), jobs));
+    let serial = rows(1);
+    assert_eq!(serial, rows(4), "rows must not depend on worker count");
+    assert_eq!(serial.matches("Fig16Row").count(), 12, "3 × 4 rows");
 }
 
 /// Probe-cache persistence closes the loop: a cache saved by one run and
